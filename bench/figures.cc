@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "sim/logging.hh"
-#include "sim/partition.hh"
 
 namespace figs {
 
@@ -140,19 +139,6 @@ figureMain(const char *binary)
     SIM_ASSERT(fig != nullptr,
                std::string("unregistered figure binary: ") + binary);
     try {
-        // Intra-run parallelism knob (melody's --sim-threads
-        // equivalent for standalone binaries). Output bytes are
-        // identical for every value.
-        if (const char *st = std::getenv("MELODY_SIM_THREADS")) {
-            char *endp = nullptr;
-            const unsigned long v = std::strtoul(st, &endp, 10);
-            if (endp == st || *endp != '\0')
-                throw ConfigError(
-                    "MELODY_SIM_THREADS must be a non-negative "
-                    "integer, got '" +
-                    std::string(st) + "'");
-            pdes::setSimThreads(static_cast<unsigned>(v));
-        }
         sweep::Sweep s(fig->binary, sweep::optionsFromEnv());
         s.scope(fig->binary);
         fig->build(s);

@@ -16,8 +16,6 @@
 #include "cxl/device_profile.hh"
 #include "dram/channel.hh"
 #include "sim/event_queue.hh"
-#include "sim/partition.hh"
-#include "sim/pdes.hh"
 #include "sim/rng.hh"
 #include "sim/sweep.hh"
 #include "workloads/suite.hh"
@@ -157,107 +155,6 @@ BM_SweepEngine(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SweepEngine);
-
-static void
-BM_PdesEpoch(benchmark::State &state)
-{
-    // Raw epoch/mailbox overhead of the conservative PDES core: a
-    // ring of partitions exchanging horizon-distance messages, one
-    // local event per hop. Dominated by barrier + mailbox delivery,
-    // not event work — the floor on cross-partition scaling.
-    const unsigned threads = static_cast<unsigned>(state.range(0));
-    const Tick la = cxl::cxlA().pdesLookahead();
-    constexpr std::size_t kParts = 8;
-    constexpr int kHops = 64;
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        pdes::Engine eng(la);
-        std::vector<pdes::Partition *> parts;
-        for (std::size_t i = 0; i < kParts; ++i)
-            parts.push_back(
-                eng.addPartition("p" + std::to_string(i)));
-        struct Hop
-        {
-            pdes::Engine *eng;
-            std::vector<pdes::Partition *> *parts;
-            std::function<void(std::uint32_t, int)> fwd;
-        };
-        Hop hop;
-        hop.eng = &eng;
-        hop.parts = &parts;
-        hop.fwd = [&hop](std::uint32_t at, int left) {
-            if (left <= 0)
-                return;
-            pdes::Partition *self = (*hop.parts)[at];
-            const auto next = static_cast<std::uint32_t>(
-                (at + 1) % kParts);
-            hop.eng->send(*self, *(*hop.parts)[next],
-                          self->now() + hop.eng->lookahead(),
-                          [&hop, next, left] {
-                              hop.fwd(next, left - 1);
-                          });
-        };
-        for (std::size_t i = 0; i < kParts; ++i) {
-            const auto id = static_cast<std::uint32_t>(i);
-            parts[i]->schedule(1 + i, [&hop, id] {
-                hop.fwd(id, kHops);
-            });
-        }
-        eng.run(threads);
-        for (const auto *p : parts)
-            events += p->executed();
-        benchmark::DoNotOptimize(eng.now());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-    state.counters["pdes_events_per_second"] = benchmark::Counter(
-        static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_PdesEpoch)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8);
-
-static void
-BM_WorkloadSimulationThreads(benchmark::State &state)
-{
-    // The tentpole gate: one 8-core simulation under the
-    // conservative gate at N sim-threads. Output is bit-identical
-    // at every N (tests/test_pdes.cc); this measures only speed.
-    // scripts/run_bench.py enforces threads:4 >= 2x threads:1 on
-    // multi-core recording hosts and no threads:1 regression.
-    const unsigned threads = static_cast<unsigned>(state.range(0));
-    auto w = workloads::byName("605.mcf_s");
-    w.threads = 8;  // partitionable: one gang member per core
-    w.blocksPerCore = 4000;
-    const unsigned prev = pdes::simThreads();
-    pdes::setSimThreads(threads);
-    for (auto _ : state) {
-        melody::Platform plat("EMR2S", "CXL-A");
-        auto be = plat.makeBackend(5);
-        cpu::MultiCore mc(plat.cpu(), w.exec, be.get(),
-                          workloads::makeKernels(w));
-        const auto r = mc.run();
-        benchmark::DoNotOptimize(r.wallTicks);
-    }
-    pdes::setSimThreads(prev);
-    state.SetItemsProcessed(state.iterations() *
-                            w.instructionsPerCore());
-    state.counters["sim_instructions_per_second"] =
-        benchmark::Counter(static_cast<double>(state.iterations()) *
-                               static_cast<double>(
-                                   w.instructionsPerCore()),
-                           benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_WorkloadSimulationThreads)
-    ->Name("BM_WorkloadSimulation")
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

@@ -20,15 +20,7 @@ Usage:
 Throughput is taken from ``items_per_second`` when the benchmark
 reports it (all of ours do), else from 1/real_time. A regression is
 ``new < old * (1 - tolerance)``; improvements are reported but never
-fail the gate. Entries are keyed on ``(name, threads)`` — parsed
-from the ``/threads:N`` suffix — so threaded benchmark families
-only ever compare like against like.
-
-The intra-run parallelism floor (``pdes_speedup_gate``) additionally
-requires ``BM_WorkloadSimulation/threads:4`` to run at least 2x the
-``threads:1`` throughput of the same recording. It only applies on
-hosts with >= 4 CPUs (recorded in the JSON context); single-core
-recorders report the ratio and skip the verdict.
+fail the gate. Entries are keyed on their full benchmark name.
 
 Recording refuses binaries built without optimization: the benchmark
 embeds ``cxlsim_build_type`` in its JSON context and anything other
@@ -44,8 +36,7 @@ parallel cold-cache with FIFO dispatch and no cost model (the
 pre-scheduler behaviour), parallel cold-cache with LPT dispatch fed
 by the seeded cost DB, and parallel warm-cache. All four must emit
 byte-identical figure output. The LPT-vs-FIFO ratio is the
-straggler-scheduling win; like the pdes gate it is only meaningful
-on hosts with enough CPUs to actually run points concurrently, so
+straggler-scheduling win; it is only meaningful on hosts with enough CPUs to actually run points concurrently, so
 single-core recorders report the ratio without a verdict.
 """
 
@@ -70,14 +61,6 @@ DEFAULT_MELODY = os.path.join(REPO_ROOT, "build", "tools", "melody")
 OPTIMIZED_BUILD_TYPES = ("release", "relwithdebinfo")
 
 
-#: threads:4 must deliver at least this speedup over threads:1
-#: (enforced only on recording hosts with >= PDES_GATE_MIN_CPUS
-#: CPUs: the conservative scheduler cannot beat serial on a
-#: single-core host, where gang threads just time-slice).
-PDES_SPEEDUP_FLOOR = 2.0
-PDES_GATE_MIN_CPUS = 4
-
-
 def throughput(entry):
     """Items/sec for one google-benchmark JSON entry."""
     if "items_per_second" in entry:
@@ -86,71 +69,23 @@ def throughput(entry):
     return 1e9 / rt if rt > 0 else 0.0
 
 
-def parse_name(name):
-    """Split a benchmark name into its (base, threads) key.
-
-    'BM_Foo/threads:4' -> ('BM_Foo', 4). A name without the
-    suffix keys as ('BM_Foo', None), NOT ('BM_Foo', 1): the plain
-    and threads:1 variants of a family are distinct benchmarks
-    (different workload configurations) and must never be compared
-    against each other.
-    """
-    base, sep, rest = name.partition("/threads:")
-    if sep and rest.isdigit():
-        return base, int(rest)
-    return name, None
-
-
 def load_json(path):
     with open(path) as f:
         return json.load(f)
 
 
 def iteration_entries(data):
-    """(base, threads) -> entry for one loaded result document."""
+    """name -> entry for one loaded result document."""
     out = {}
     for b in data.get("benchmarks", []):
         if b.get("run_type", "iteration") != "iteration":
             continue
-        out[parse_name(b["name"])] = b
+        out[b["name"]] = b
     return out
 
 
 def load_results(path):
     return iteration_entries(load_json(path))
-
-
-def pdes_speedup_gate(data):
-    """Enforce the intra-run parallelism floor on capable hosts.
-
-    Returns a list of failure names (empty = pass or skipped).
-    Compares BM_WorkloadSimulation/threads:4 against threads:1
-    from the SAME run, so the verdict reflects that machine, not
-    a cross-host ratio.
-    """
-    entries = iteration_entries(data)
-    t1 = entries.get(("BM_WorkloadSimulation", 1))
-    t4 = entries.get(("BM_WorkloadSimulation", 4))
-    if t1 is None or t4 is None:
-        print("pdes gate: threaded BM_WorkloadSimulation entries "
-              "missing; skipped", file=sys.stderr)
-        return []
-    ncpu = int(data.get("context", {}).get("num_cpus", 0))
-    speedup = (throughput(t4) / throughput(t1)
-               if throughput(t1) > 0 else float("inf"))
-    if ncpu < PDES_GATE_MIN_CPUS:
-        print(f"pdes gate: threads:4 speedup {speedup:.2f}x "
-              f"(floor {PDES_SPEEDUP_FLOOR:.1f}x not applicable: "
-              f"host has {ncpu} CPU(s))", file=sys.stderr)
-        return []
-    if speedup < PDES_SPEEDUP_FLOOR:
-        print(f"pdes gate: threads:4 speedup {speedup:.2f}x is "
-              f"below the {PDES_SPEEDUP_FLOOR:.1f}x floor "
-              f"({ncpu}-CPU host): FAILED", file=sys.stderr)
-        return ["BM_WorkloadSimulation/threads:4 (speedup floor)"]
-    print(f"pdes gate: threads:4 speedup {speedup:.2f}x "
-          f"(floor {PDES_SPEEDUP_FLOOR:.1f}x): ok", file=sys.stderr)
-    return []
 
 
 def run_bench(bench, min_time, extra_args):
@@ -286,13 +221,7 @@ def previous_baseline(out_dir, exclude):
 
 
 def compare(old_path, new_path, tolerance):
-    """Print a comparison table; return list of regressed names.
-
-    Entries are matched on (base name, thread count) so a threaded
-    family member is only ever compared against the same thread
-    count in the baseline — 'BM_X/threads:4' never pairs with
-    'BM_X/threads:1' or plain 'BM_X'.
-    """
+    """Print a comparison table; return list of regressed names."""
     old = load_results(old_path)
     new = load_results(new_path)
     regressions = []
@@ -378,7 +307,6 @@ def main():
                 return 2
         regressions = compare(args.compare[0], args.compare[1],
                               args.tolerance)
-        regressions += pdes_speedup_gate(load_json(args.compare[1]))
         if regressions:
             print(f"\n{len(regressions)} regression(s): "
                   f"{', '.join(regressions)}")
@@ -412,20 +340,13 @@ def main():
         f.write("\n")
     print(f"wrote {out_path}", file=sys.stderr)
 
-    gate_failures = pdes_speedup_gate(data)
-
     baseline = args.baseline or previous_baseline(
         args.out_dir, exclude=out_path)
     if baseline is None:
-        if gate_failures:
-            print(f"\npdes gate failure(s): "
-                  f"{', '.join(gate_failures)}")
-            return 1 if args.check else 0
         print("no previous baseline found; recorded only.")
         return 0
 
     regressions = compare(baseline, out_path, args.tolerance)
-    regressions += gate_failures
     if regressions:
         print(f"\n{len(regressions)} regression(s): "
               f"{', '.join(regressions)}")

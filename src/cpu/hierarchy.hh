@@ -23,7 +23,6 @@
 #include "cpu/prefetcher.hh"
 #include "cpu/profile.hh"
 #include "mem/backend.hh"
-#include "sim/partition.hh"
 #include "sim/types.hh"
 
 namespace cxlsim::cpu {
@@ -108,20 +107,10 @@ class MemoryHierarchy
     /** Ticks for one core cycle (derived from the CPU profile). */
     double tickPerCycle() const { return tickPerCycle_; }
 
-    /**
-     * Attach/detach the conservative scheduler for a parallel run
-     * (MultiCore installs it around a gang; null = serial). With a
-     * gate attached, every touch of cross-core shared state (the
-     * LLC and the memory backend) first waits for the caller's
-     * serial-order grant; per-core state (L1/L2, prefetchers,
-     * PfStats) needs no gate.
-     */
-    void setGate(pdes::FrontierGate *gate) { gate_ = gate; }
-
   private:
     struct PerCore
     {
-        PerCore(const CpuProfile &p, unsigned idx);
+        explicit PerCore(const CpuProfile &p);
 
         Cache l1;
         Cache l2;
@@ -138,8 +127,6 @@ class MemoryHierarchy
         double l2pfLatEwmaNs = 100.0;
         PfStats pf;
         std::vector<Addr> scratch;
-        /** Core index (partition id for the gate). */
-        unsigned idx;
     };
 
     Tick cyclesToTicks(double cycles) const
@@ -150,15 +137,6 @@ class MemoryHierarchy
     /** Handle a (possibly dirty) eviction from level @p from. */
     void handleEviction(PerCore *pc, unsigned from_level,
                         const Eviction &ev, Tick now);
-
-    /** Before any l3_/backend_ touch: under a parallel run, wait
-     *  for core @p core's serial-order shared-access grant. */
-    void
-    syncShared(unsigned core)
-    {
-        if (gate_)
-            gate_->enterShared(core);
-    }
 
     void runL1Prefetcher(PerCore &pc, unsigned stream_id,
                          Addr line, Tick now);
@@ -174,8 +152,6 @@ class MemoryHierarchy
     mem::MemoryBackend *backend_;
     Cache l3_;
     std::vector<std::unique_ptr<PerCore>> percore_;
-    /** Conservative scheduler for parallel runs (null = serial). */
-    pdes::FrontierGate *gate_ = nullptr;
 };
 
 }  // namespace cxlsim::cpu

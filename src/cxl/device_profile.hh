@@ -116,24 +116,6 @@ struct DeviceProfile
     }
 
     /**
-     * Conservative-PDES lookahead contributed by this device
-     * (ticks): the minimum latency any request observes crossing
-     * the link and the controller's fixed processing stage. A
-     * host-side logical process that is ahead of a device-side one
-     * by less than this can never receive a message below its local
-     * clock, so pdes::Engine epochs (DESIGN.md §11) may drain
-     * [now, now + pdesLookahead()) concurrently. Deliberately
-     * excludes DRAM access time, queueing, hiccups and NUMA adders:
-     * lookahead must lower-bound *every* path, including LLC-side
-     * completions that skip them.
-     */
-    Tick
-    pdesLookahead() const
-    {
-        return nsToTicks(linkCfg.minTransferNs() + controllerNs);
-    }
-
-    /**
      * Bounds-check every field (probabilities in [0,1], latencies
      * non-negative, channel/queue counts non-zero) so a bad value
      * fails loudly at construction instead of silently propagating

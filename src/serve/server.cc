@@ -22,7 +22,6 @@
 #include "sim/interrupt.hh"
 #include "sim/io_fault.hh"
 #include "sim/logging.hh"
-#include "sim/partition.hh"
 #include "sim/retry_io.hh"
 #include "sim/supervisor.hh"
 #include "stats/rows.hh"
@@ -545,9 +544,8 @@ void
 ServerImpl::runWorkerChild(int wfd, const SweepJob &job)
 {
     // The child is a fresh, single-purpose process: default signal
-    // disposition (so a crash is visible as a crash), no share of
-    // the parent's sockets, and a thread budget of exactly one —
-    // the parent's pool threads did not survive the fork.
+    // disposition (so a crash is visible as a crash) and no share
+    // of the parent's sockets.
     sim::resetInterruptHandlers();
     ::signal(SIGPIPE, SIG_IGN);
     for (const int lfd : listeners_)
@@ -556,7 +554,6 @@ ServerImpl::runWorkerChild(int wfd, const SweepJob &job)
         ::close(fd);
     for (const auto &[pipeFd, w] : workers_)
         ::close(pipeFd);
-    pdes::setSimThreads(1);
 
     std::vector<std::string> rows;
     try {

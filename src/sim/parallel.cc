@@ -168,143 +168,7 @@ class WorkerPool
     std::atomic<std::size_t> doneChunks_{0};
 };
 
-/**
- * Dedicated-thread pool for mutually-blocking task gangs
- * (runGang). Every gang member needs a real thread for the gang's
- * lifetime — members may park mid-body waiting on a peer — so
- * workers are never shared between simultaneously-running gangs;
- * finished workers return to a free list for the next gang.
- */
-class GangPool
-{
-  public:
-    static GangPool &
-    instance()
-    {
-        // Same sanctioned singleton shape as WorkerPool: the pool
-        // owns no simulation state, only threads.
-        // lint:allow(det-static-local: sanctioned pool singleton, no sim state)
-        static GangPool pool;
-        return pool;
-    }
-
-    void
-    run(std::size_t n, const std::function<void(std::size_t)> &fn)
-    {
-        struct Job
-        {
-            const std::function<void(std::size_t)> *fn;
-            std::size_t remaining;
-        } job{&fn, n - 1};
-
-        std::vector<Worker *> members;
-        members.reserve(n - 1);
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            for (std::size_t i = 1; i < n; ++i) {
-                Worker *w;
-                if (!free_.empty()) {
-                    w = free_.back();
-                    free_.pop_back();
-                } else {
-                    w = new Worker;
-                    all_.push_back(w);
-                    w->thread = std::thread(
-                        [this, w] { workerLoop(w); });
-                }
-                members.push_back(w);
-            }
-        }
-        for (std::size_t i = 1; i < n; ++i) {
-            Worker *w = members[i - 1];
-            std::lock_guard<std::mutex> lk(w->mu);
-            w->fn = &fn;
-            w->index = i;
-            w->done = &job.remaining;
-            w->cv.notify_one();
-        }
-
-        fn(0);
-
-        std::unique_lock<std::mutex> lk(mu_);
-        doneCv_.wait(lk, [&] { return job.remaining == 0; });
-    }
-
-  private:
-    struct Worker
-    {
-        std::thread thread;
-        std::mutex mu;
-        std::condition_variable cv;
-        const std::function<void(std::size_t)> *fn = nullptr;
-        std::size_t index = 0;
-        std::size_t *done = nullptr;
-        bool stop = false;
-    };
-
-    GangPool() = default;
-
-    ~GangPool()
-    {
-        for (Worker *w : all_) {
-            {
-                std::lock_guard<std::mutex> lk(w->mu);
-                w->stop = true;
-            }
-            w->cv.notify_one();
-        }
-        for (Worker *w : all_) {
-            w->thread.join();
-            delete w;
-        }
-    }
-
-    void
-    workerLoop(Worker *w)
-    {
-        for (;;) {
-            const std::function<void(std::size_t)> *fn;
-            std::size_t index;
-            std::size_t *done;
-            {
-                std::unique_lock<std::mutex> lk(w->mu);
-                w->cv.wait(lk, [&] { return w->stop || w->fn; });
-                if (w->stop)
-                    return;
-                fn = w->fn;
-                index = w->index;
-                done = w->done;
-                w->fn = nullptr;
-            }
-            (*fn)(index);
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                free_.push_back(w);
-                if (--*done == 0)
-                    doneCv_.notify_all();
-            }
-        }
-    }
-
-    std::mutex mu_;
-    std::condition_variable doneCv_;
-    std::vector<Worker *> free_;
-    std::vector<Worker *> all_;
-};
-
 }  // namespace
-
-void
-runGang(std::size_t n, const std::function<void(std::size_t)> &fn)
-{
-    if (n == 0)
-        return;
-    if (n == 1) {
-        fn(0);
-        return;
-    }
-    GangPool::instance().run(n, fn);
-}
 
 void
 parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,

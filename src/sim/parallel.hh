@@ -61,25 +61,6 @@ void parallelForOrder(const std::vector<std::size_t> &order,
                       const std::function<void(std::size_t)> &fn,
                       unsigned threads = 0);
 
-/**
- * Run @p fn(0) .. @p fn(n-1) with every body on its OWN thread,
- * all guaranteed to execute concurrently (the caller runs body 0).
- *
- * This is the scheduling substrate for conservative intra-run
- * parallelism (sim/partition.hh): gang bodies may block mid-body
- * waiting on each other's progress, which parallelFor cannot host —
- * its pool neither guarantees concurrent execution of all bodies
- * nor survives a body that parks forever waiting on an unscheduled
- * peer. Gang workers are dedicated, pooled across calls, and grown
- * on demand, so concurrent gangs (e.g. sweep jobs each running a
- * multi-threaded simulation) never share or starve.
- *
- * Unlike parallelFor there is no nesting fallback: a gang inside a
- * parallelFor body or another gang still gets real threads.
- */
-void runGang(std::size_t n,
-             const std::function<void(std::size_t)> &fn);
-
 }  // namespace cxlsim
 
 #endif  // CXLSIM_SIM_PARALLEL_HH

@@ -19,7 +19,6 @@
 #include "sim/interrupt.hh"
 #include "sim/io_fault.hh"
 #include "sim/logging.hh"
-#include "sim/partition.hh"
 #include "sim/retry_io.hh"
 #include "sim/sweep.hh"
 #include "stats/rows.hh"
@@ -60,8 +59,7 @@ struct ChildProc
  * violation], or ["ex:<what>"] when the closure threw.
  */
 [[noreturn]] void
-runWorker(const SupervisorTask &task, bool checkInvariants,
-          unsigned simThreads, int wfd)
+runWorker(const SupervisorTask &task, bool checkInvariants, int wfd)
 {
     // The parent's graceful-interrupt handlers must not survive
     // into the worker: a Ctrl-C against the process group should
@@ -69,15 +67,6 @@ runWorker(const SupervisorTask &task, bool checkInvariants,
     // handler against the inherited self-pipe.
     ::signal(SIGINT, SIG_DFL);
     ::signal(SIGTERM, SIG_DFL);
-    // Gang/pool worker threads do not survive fork(): any inherited
-    // pool bookkeeping would point at threads that no longer exist.
-    // Resetting the knob post-fork sidesteps them entirely — the
-    // gang pool is lazily re-created in this process on first use.
-    // The width is the supervisor's per-spawn share of the gang
-    // budget (1 without one); PDES output is bit-identical at
-    // every thread count, so isolated points only ever trade
-    // parallelism, never determinism.
-    pdes::setSimThreads(simThreads > 0 ? simThreads : 1);
     std::vector<std::string> rows;
     sim::Invariants inv;
     try {
@@ -290,27 +279,12 @@ runSupervised(const std::vector<SupervisorTask> &tasks,
                               sim::iofault::errnoName(errno));
             return;
         }
-        // Gang escalation (`--sim-threads auto`): this spawn's
-        // share of the intra-run thread budget, split across the
-        // workers that will be in flight once it starts. While the
-        // queue is deep the share is the static split; once
-        // remaining work drops below the job count, the divisor
-        // shrinks and the stragglers inherit the idle jobs' cores.
-        unsigned gangWidth = 1;
-        if (cfg.gangBudget > 0) {
-            const std::size_t active = std::min<std::size_t>(
-                jobs, inflight.size() + queue.size() + 1);
-            gangWidth = std::max(
-                1u, cfg.gangBudget /
-                        static_cast<unsigned>(std::max<std::size_t>(
-                            active, 1)));
-        }
         if (pid == 0) {
             ::close(fds[0]);
             // Drop inherited read ends of sibling pipes.
             for (const ChildProc &c : inflight)
                 ::close(c.fd);
-            runWorker(task, cfg.checkInvariants, gangWidth, fds[1]);
+            runWorker(task, cfg.checkInvariants, fds[1]);
         }
         ::close(fds[1]);
         ChildProc c;

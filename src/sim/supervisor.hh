@@ -94,17 +94,6 @@ struct SupervisorConfig
     /** Run each worker under an Invariants collector and ship
      *  violations back with the result. */
     bool checkInvariants = false;
-    /**
-     * Total intra-run (PDES gang) thread budget across in-flight
-     * workers; 0 keeps every worker single-threaded. When set,
-     * each spawn gets budget / active-workers gang threads — so
-     * as the queue drains below the job count, the cores idle
-     * jobs would have used are handed to the remaining
-     * stragglers' gangs instead (`--sim-threads auto`). Purely a
-     * speed decision: PDES output is bit-identical at every
-     * width.
-     */
-    unsigned gangBudget = 0;
 };
 
 /** A point that exhausted its attempt budget. */

@@ -1,7 +1,6 @@
 #include "sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -15,7 +14,6 @@
 #include "sim/journal.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
-#include "sim/partition.hh"
 #include "sim/run_cache.hh"
 #include "sim/supervisor.hh"
 #include "stats/rows.hh"
@@ -256,8 +254,6 @@ struct Sweep::SchedCtx
     CostModel *cm = nullptr;
     /** --progress meter; null when disabled. */
     ProgressMeter *progress = nullptr;
-    /** Total PDES gang-thread budget; 0 = no escalation. */
-    unsigned gangBudget = 0;
 };
 
 Sweep::Sweep(std::string name, Options opts)
@@ -439,7 +435,6 @@ Sweep::compute(Report *report)
     // position, the dispatch permutation, and the progress meter.
     SchedCtx sched;
     sched.cm = cm.get();
-    sched.gangBudget = opts_.gangBudget;
     sched.order.resize(pending.size());
     for (std::size_t i = 0; i < pending.size(); ++i)
         sched.order[i] = i;
@@ -510,20 +505,6 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
     // so scheduling order cannot affect the rendered bytes. A
     // throwing closure is captured and re-thrown from the lowest
     // point index so the failure is deterministic too.
-    const unsigned jobsEff = std::max(
-        1u, std::min<unsigned>(
-                opts_.jobs ? opts_.jobs
-                           : std::thread::hardware_concurrency(),
-                static_cast<unsigned>(std::max<std::size_t>(
-                    pending.size(), 1))));
-    // Gang escalation (--sim-threads auto): as remaining work drops
-    // below the job count, hand the idle jobs' cores to the
-    // stragglers' PDES gangs. The width is read once per simulation
-    // run and every width is bit-identical, so adjusting the global
-    // mid-sweep is output-safe; purely a speed decision.
-    std::atomic<std::size_t> remaining{pending.size()};
-    const unsigned prevWidth =
-        sched->gangBudget > 0 ? pdes::simThreads() : 0;
     std::vector<std::exception_ptr> errors(pending.size());
     std::vector<sim::Invariants> invs(
         opts_.checkInvariants ? pending.size() : 0);
@@ -531,15 +512,6 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
         sched->order,
         [&](std::size_t i) {
             Point &p = points_[pending[i]];
-            if (sched->gangBudget > 0) {
-                const std::size_t rem = std::max<std::size_t>(
-                    remaining.load(std::memory_order_relaxed), 1);
-                const unsigned active =
-                    static_cast<unsigned>(std::min<std::size_t>(
-                        jobsEff, rem));
-                pdes::setSimThreads(std::max(
-                    1u, sched->gangBudget / std::max(active, 1u)));
-            }
             const auto t0 = std::chrono::steady_clock::now();
             std::vector<Emit> slots(p.nSlots);
             try {
@@ -548,7 +520,6 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
                 p.fn(slots.data());
             } catch (...) {
                 errors[i] = std::current_exception();
-                remaining.fetch_sub(1, std::memory_order_relaxed);
                 if (sched->progress)
                     sched->progress->tick(
                         sched->predictedUs.empty()
@@ -566,15 +537,12 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
             p.slots.reserve(p.nSlots);
             for (auto &s : slots)
                 p.slots.push_back(s.take());
-            remaining.fetch_sub(1, std::memory_order_relaxed);
             if (sched->progress)
                 sched->progress->tick(sched->predictedUs.empty()
                                           ? 0.0
                                           : sched->predictedUs[i]);
         },
         opts_.jobs);
-    if (sched->gangBudget > 0)
-        pdes::setSimThreads(prevWidth);
     for (const auto &err : errors)
         if (err)
             std::rethrow_exception(err);
@@ -621,7 +589,6 @@ Sweep::computeIsolated(
     cfg.maxAttempts = opts_.maxAttempts;
     cfg.timeoutMs = opts_.timeoutMs;
     cfg.checkInvariants = opts_.checkInvariants;
-    cfg.gangBudget = sched->gangBudget;
 
     // Workers complete in nondeterministic order; buffer the
     // per-point diagnostics and flatten by point index so the

@@ -166,14 +166,6 @@ struct Options
     /** Master switch for loading/recording point costs. */
     bool costDb = true;
     /**
-     * Total intra-run (PDES gang) thread budget across concurrent
-     * points (`--sim-threads auto`); 0 disables escalation. Each
-     * point runs its simulation with budget / active-points gang
-     * threads, so when remaining work drops below the job count
-     * the idle jobs' cores are handed to the stragglers' gangs.
-     */
-    unsigned gangBudget = 0;
-    /**
      * One stderr status line (done/total points, cost-model ETA)
      * refreshed at most twice a second. stdout stays byte-clean.
      */

@@ -122,44 +122,6 @@ TEST(LintDeterminism, StaticLocalFiresOnMutableOnly)
               (Expected{{"det-static-local", 8}}));
 }
 
-TEST(LintDeterminism, UnorderedIterFiresInPdesPaths)
-{
-    // The PDES core's drain order IS the determinism contract, so
-    // pdes/partition sources are output paths for this rule.
-    const auto pdesDiags = lintSource(
-        "src/sim/pdes.cc", fixture("det_unordered_iter.cc"));
-    EXPECT_EQ(ruleLines(pdesDiags),
-              (Expected{{"det-unordered-iter", 15}}));
-    const auto partDiags = lintSource(
-        "src/sim/partition.cc", fixture("det_unordered_iter.cc"));
-    EXPECT_EQ(ruleLines(partDiags),
-              (Expected{{"det-unordered-iter", 15}}));
-}
-
-TEST(LintDeterminism, PdesSharedMutationFiresInHandlerLambdas)
-{
-    // Cross-partition schedule()/mutating calls inside lambda
-    // bodies fire; `self`-local scheduling, const accessors, and
-    // setup-scope calls outside lambdas stay quiet.
-    const auto diags =
-        lintSource("src/sim/fixture.cc",
-                   fixture("det_pdes_shared_mutation.cc"));
-    EXPECT_EQ(ruleLines(diags),
-              (Expected{{"det-pdes-shared-mutation", 18},
-                        {"det-pdes-shared-mutation", 19},
-                        {"det-pdes-shared-mutation", 21}}));
-}
-
-TEST(LintDeterminism, PdesSharedMutationAppliesOnAnyPath)
-{
-    // Partition handles can leak into tests and tools; the handler
-    // contract follows the type, not the directory.
-    const auto diags =
-        lintSource("tests/fixture.cc",
-                   fixture("det_pdes_shared_mutation.cc"));
-    EXPECT_EQ(diags.size(), 3u);
-}
-
 TEST(LintDeterminism, UnorderedIterFiresInServePaths)
 {
     // Serve responses are rendered bytes and must be reproducible,

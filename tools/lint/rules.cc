@@ -192,9 +192,7 @@ ruleDetUnorderedIter(const std::string &path, const Tokens &t,
                         underDir(path, "tools/") ||
                         pathHas(path, "sim/sweep") ||
                         pathHas(path, "sim/run_cache") ||
-                        pathHas(path, "sim/cost_model") ||
-                        pathHas(path, "sim/pdes") ||
-                        pathHas(path, "sim/partition");
+                        pathHas(path, "sim/cost_model");
     if (!scoped)
         return;
 
@@ -694,144 +692,6 @@ ruleHdrMissingInclude(const std::string &path, const Tokens &t,
     }
 }
 
-/**
- * det-pdes-shared-mutation — under the conservative PDES engine a
- * handler executes on its partition's thread while peers drain the
- * same epoch concurrently. The only legal way to affect ANOTHER
- * partition from handler code is a time-stamped mailbox message
- * (Engine::send); a direct schedule()/scheduleAfter() — or any
- * other mutating member — through a cross-partition pointer races
- * that partition's event queue and silently breaks both the
- * determinism argument and the lookahead proof (DESIGN.md §11).
- *
- * Enforced convention: inside lambda bodies (where handlers live),
- * mutating Partition members may only be called through a variable
- * named `self` — the partition the handler runs on, per the naming
- * convention in sim/pdes.hh. Const accessors (now/id/name/empty/
- * executed) are always fine, and code outside lambdas (pre-run
- * setup, the engine's own barrier) is exempt: it runs while no
- * partition is draining.
- */
-void
-ruleDetPdesSharedMutation(const std::string &path, const Tokens &t,
-                          Sink *sink)
-{
-    (void)path;  // applies everywhere Partition handles appear
-
-    // Pass 1: names declared with a (pdes::)Partition pointer or
-    // reference type. `vector<Partition *>` members are skipped:
-    // the closing '>' is not a declarator name.
-    std::set<std::string> vars;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (!isIdent(t, i, "Partition"))
-            continue;
-        std::size_t j = i + 1;
-        bool indirect = false;
-        while (j < t.size() &&
-               (isPunct(t, j, "*") || isPunct(t, j, "&") ||
-                isIdent(t, j, "const"))) {
-            if (!isIdent(t, j, "const"))
-                indirect = true;
-            ++j;
-        }
-        if (indirect && j < t.size() &&
-            t[j].kind == TokKind::kIdent)
-            vars.insert(t[j].text);
-    }
-    if (vars.empty())
-        return;
-
-    // Pass 2: lambda body token ranges. '[' opens a capture list
-    // only in expression position (a subscript follows a value);
-    // '[[' is an attribute.
-    std::vector<std::pair<std::size_t, std::size_t>> bodies;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (!isPunct(t, i, "["))
-            continue;
-        if (i > 0 && (t[i - 1].kind == TokKind::kIdent ||
-                      isPunct(t, i - 1, ")") ||
-                      isPunct(t, i - 1, "]")))
-            continue;  // subscript
-        if (isPunct(t, i + 1, "["))
-            continue;  // attribute
-        // Matching ']' of the capture list.
-        int depth = 0;
-        std::size_t close = std::string::npos;
-        for (std::size_t k = i; k < t.size(); ++k) {
-            if (isPunct(t, k, "["))
-                ++depth;
-            else if (isPunct(t, k, "]") && --depth == 0) {
-                close = k;
-                break;
-            }
-        }
-        if (close == std::string::npos)
-            continue;
-        std::size_t j = close + 1;
-        if (j < t.size() && isPunct(t, j, "(")) {
-            j = matchParen(t, j);
-            if (j == std::string::npos)
-                continue;
-            ++j;
-        }
-        // Skip specifiers / trailing return type up to the body.
-        while (j < t.size() && !isPunct(t, j, "{") &&
-               !isPunct(t, j, ";") && !isPunct(t, j, ",") &&
-               !isPunct(t, j, ")"))
-            ++j;
-        if (j >= t.size() || !isPunct(t, j, "{"))
-            continue;
-        int braces = 0;
-        for (std::size_t k = j; k < t.size(); ++k) {
-            if (isPunct(t, k, "{"))
-                ++braces;
-            else if (isPunct(t, k, "}") && --braces == 0) {
-                bodies.emplace_back(j, k);
-                break;
-            }
-        }
-    }
-    if (bodies.empty())
-        return;
-
-    const auto inLambda = [&bodies](std::size_t i) {
-        for (const auto &b : bodies)
-            if (i > b.first && i < b.second)
-                return true;
-        return false;
-    };
-
-    // Partition's const API: safe from any thread's handler.
-    static const std::set<std::string> kConstMembers = {
-        "now", "id", "name", "empty", "executed",
-    };
-
-    for (std::size_t i = 0; i + 3 < t.size(); ++i) {
-        if (t[i].kind != TokKind::kIdent || !vars.count(t[i].text))
-            continue;
-        if (!isPunct(t, i + 1, "->") && !isPunct(t, i + 1, "."))
-            continue;
-        if (t[i + 2].kind != TokKind::kIdent ||
-            !isPunct(t, i + 3, "("))
-            continue;
-        const std::string &member = t[i + 2].text;
-        if (kConstMembers.count(member))
-            continue;
-        if (!inLambda(i))
-            continue;
-        if (t[i].is("self") && (member == "schedule" ||
-                                member == "scheduleAfter"))
-            continue;  // partition-local: the handler's own queue
-        sink->emit(t[i].line, "det-pdes-shared-mutation",
-                   Severity::kError,
-                   "'" + t[i].text + t[i + 1].text + member +
-                       "()' mutates another partition's state from "
-                       "handler code; route cross-partition effects "
-                       "through Engine::send() (mailboxes), or name "
-                       "the executing partition 'self'");
-    }
-}
-
 }  // namespace
 
 const char *
@@ -868,7 +728,6 @@ lintSource(const std::string &path, const std::string &content,
     ruleDetBannedCall(path, lexed.tokens, &sink);
     ruleDetUnorderedIter(path, lexed.tokens, &sink);
     ruleDetStaticLocal(path, lexed.tokens, &sink);
-    ruleDetPdesSharedMutation(path, lexed.tokens, &sink);
     ruleSrvEintrRetry(path, lexed.tokens, &sink);
     ruleRasIgnoredStatus(path, lexed.tokens, &sink);
     ruleRasPlainCall(path, lexed.tokens, &sink);

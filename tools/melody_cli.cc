@@ -47,8 +47,6 @@
 #include "core/slowdown.hh"
 #include "ras/fault_plan.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
-#include "sim/partition.hh"
 #include "sim/run_cache.hh"
 #include "sim/sweep.hh"
 #include "spa/advisor.hh"
@@ -76,7 +74,7 @@ usage()
         "  melody sweep [--jobs N] [--no-cache] [--cache-dir D]\n"
         "               [--isolate] [--resume] [--retries N]\n"
         "               [--timeout-ms N] [--journal F]\n"
-        "               [--check-invariants] [--pdes-stats]\n"
+        "               [--check-invariants]\n"
         "               [--sched fifo|lpt] [--cost-db F]\n"
         "               [--no-cost-db] [--progress]\n"
         "               <figure...>|all\n"
@@ -102,14 +100,6 @@ usage()
         "global: --io-faults SPEC  deterministic host-I/O fault\n"
         "        injection (e.g. \"seed=7 write:enospc@0.01\";\n"
         "        MELODY_IO_FAULTS equivalent; DESIGN.md §15)\n"
-        "global: --sim-threads N|auto  worker threads inside each\n"
-        "        simulation (conservative PDES; output is\n"
-        "        bit-identical for every N). Composes with sweep\n"
-        "        --jobs: when --jobs is not given, jobs defaults\n"
-        "        to hardware/N so the combined budget stays at\n"
-        "        the machine size. 'auto' keeps full point\n"
-        "        fan-out and escalates the last stragglers to\n"
-        "        multi-threaded PDES as the queue drains.\n"
         "sweep scheduling: points dispatch longest-predicted-\n"
         "        first off the cost DB (<cache-dir>/costdb.tsv;\n"
         "        --sched fifo restores declaration order, output\n"
@@ -117,13 +107,6 @@ usage()
         "        done/ETA status line on stderr.\n");
     return 2;
 }
-
-/** Value of the global --sim-threads flag; 0 = not given. */
-unsigned g_simThreadsArg = 0;
-/** --sim-threads auto: single-run commands use the whole machine;
- *  sweeps get a gang-thread budget so straggler points escalate to
- *  multi-threaded PDES as the point queue drains (DESIGN.md §14). */
-bool g_simThreadsAuto = false;
 
 /** Strict numeric argument parsing: reject trailing garbage. */
 unsigned
@@ -249,8 +232,6 @@ int
 cmdSweepFigures(const std::vector<std::string> &args)
 {
     sweep::Options opts = sweep::optionsFromEnv();
-    bool jobsGiven = std::getenv("MELODY_SWEEP_JOBS") != nullptr;
-    bool pdesStats = false;
     std::vector<const figs::Figure *> picked;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
@@ -263,9 +244,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
             if (i + 1 == args.size())
                 throw ConfigError("--jobs needs a value");
             opts.jobs = parseUnsignedArg(args[++i].c_str(), "--jobs");
-            jobsGiven = true;
-        } else if (a == "--pdes-stats") {
-            pdesStats = true;
         } else if (a == "--no-cache") {
             opts.cache = false;
         } else if (a == "--cache-dir") {
@@ -332,24 +310,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
     if ((opts.isolate || opts.resume) && opts.journalPath.empty())
         opts.journalPath = "results/sweep-journal.jsonl";
 
-    // Combined thread budget: with --sim-threads N and no explicit
-    // --jobs, split the machine between point fan-out and intra-run
-    // gangs instead of oversubscribing N-fold.
-    if (g_simThreadsArg > 1 && !jobsGiven) {
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        opts.jobs = std::max(1u, hw / g_simThreadsArg);
-    }
-    // --sim-threads auto: full point fan-out while the queue is
-    // deep, with the whole machine as a gang budget so the last
-    // stragglers escalate to multi-threaded PDES (bit-identical at
-    // every width — a speed decision only).
-    if (g_simThreadsAuto)
-        opts.gangBudget =
-            std::max(1u, std::thread::hardware_concurrency());
-    if (pdesStats)
-        pdes::StatsRegistry::instance().clear();
-
     // Graceful ^C/SIGTERM for crash-isolated runs: the supervisor
     // stops dispatching, reaps in-flight workers, journals every
     // unstarted point as "interrupted" and still prints the
@@ -366,11 +326,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
         f->build(s);
     }
     const sweep::Sweep::Report rep = s.run(stdout);
-    // Utilization/imbalance report on stderr: stdout carries only
-    // figure bytes, which must stay identical across sim-threads.
-    if (pdesStats)
-        std::fprintf(stderr, "%s\n",
-                     pdes::StatsRegistry::instance().json().c_str());
     std::fprintf(stderr,
                  "melody sweep: %zu figure(s), %zu point(s), "
                  "%zu cache hit(s), %zu store(s), %zu corrupt\n",
@@ -814,36 +769,16 @@ int
 main(int argc, char **argv)
 {
     try {
-        // --sim-threads is global (any subcommand that simulates
-        // honours it), so strip it before dispatch.
+        // --io-faults is global (any subcommand's host I/O can be
+        // made to fail deterministically, DESIGN.md §15), so strip
+        // it before dispatch. Equivalent to MELODY_IO_FAULTS, which
+        // forked daemons also inherit.
         std::vector<char *> args;
         for (int i = 0; i < argc; ++i) {
             if (std::strcmp(argv[i], "--io-faults") == 0) {
-                // Global like --sim-threads: any subcommand's host
-                // I/O can be made to fail deterministically
-                // (DESIGN.md §15). Equivalent to MELODY_IO_FAULTS,
-                // which forked daemons also inherit.
                 if (i + 1 == argc)
                     throw ConfigError("--io-faults needs a value");
                 sim::iofault::install(argv[++i]);
-                continue;
-            }
-            if (std::strcmp(argv[i], "--sim-threads") == 0) {
-                if (i + 1 == argc)
-                    throw ConfigError("--sim-threads needs a value");
-                ++i;
-                if (std::strcmp(argv[i], "auto") == 0) {
-                    // Whole machine for single-run commands; the
-                    // sweep engine swaps this for a per-point gang
-                    // budget (opts.gangBudget) so escalation only
-                    // happens once the point queue drains.
-                    g_simThreadsAuto = true;
-                    pdes::setSimThreads(0);
-                    continue;
-                }
-                g_simThreadsArg = parseUnsignedArg(
-                    argv[i], "--sim-threads");
-                pdes::setSimThreads(g_simThreadsArg);
                 continue;
             }
             args.push_back(argv[i]);
