@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cpu/cache.hh"
 #include "cpu/core.hh"
@@ -16,6 +19,8 @@
 #include "cpu/prefetcher.hh"
 #include "cpu/profile.hh"
 #include "core/platform.hh"
+#include "mem/backend.hh"
+#include "sim/invariants.hh"
 #include "workloads/suite.hh"
 #include "workloads/synthetic_kernel.hh"
 
@@ -425,6 +430,174 @@ TEST(MultiCore, SamplingProducesMonotonicSamples)
         EXPECT_GE(r.samples[i].counters.cycles,
                   r.samples[i - 1].counters.cycles);
     }
+}
+
+namespace {
+
+/** A suite workload shrunk further for the scheduler tests, which
+ *  run it twice (or under the invariant checker) per case. */
+workloads::WorkloadProfile
+tinyWorkload(const std::string &name)
+{
+    workloads::WorkloadProfile w = workloads::byName(name);
+    w.blocksPerCore = std::min<std::uint64_t>(w.blocksPerCore, 2000);
+    return w;
+}
+
+/** Counts every read twice, so backend traffic no longer matches
+ *  the hierarchy's own miss/writeback accounting. */
+class DoubleCountingBackend : public mem::MemoryBackend
+{
+  public:
+    explicit DoubleCountingBackend(mem::BackendPtr inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    Tick
+    access(Addr addr, mem::ReqType type, Tick now) override
+    {
+        note(type);
+        if (mem::isRead(type))
+            note(type);
+        return inner_->access(addr, type, now);
+    }
+
+    const std::string &name() const override { return inner_->name(); }
+
+  private:
+    mem::BackendPtr inner_;
+};
+
+}  // namespace
+
+/**
+ * The indexed min-heap scheduler must step cores in exactly the
+ * order of a plain linear scan for the earliest (now, index) core,
+ * so every request reaches the shared backend in the same sequence.
+ * Covers the single-core fast path (mcf) and 2-, 6- and 10-core
+ * heaps.
+ */
+class MultiCoreSchedule : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(MultiCoreSchedule, HeapMatchesLinearScan)
+{
+    const auto w = tinyWorkload(GetParam());
+    melody::Platform plat("EMR2S", "CXL-A");
+
+    auto heapBackend = plat.makeBackend(11);
+    MultiCore mc(plat.cpu(), w.exec, heapBackend.get(),
+                 workloads::makeKernels(w));
+    const RunResult heap = mc.run();
+
+    // Reference: the same construction as MultiCore, driven by a
+    // linear scan (ties go to the lowest core index).
+    auto scanBackend = plat.makeBackend(11);
+    auto kernels = workloads::makeKernels(w);
+    const auto n = static_cast<unsigned>(kernels.size());
+    ASSERT_EQ(n, w.threads);
+    MemoryHierarchy hier(plat.cpu(), n, scanBackend.get(), true);
+    const std::uint64_t preloadBudget = static_cast<std::uint64_t>(
+        0.7 * static_cast<double>(plat.cpu().l3.sizeBytes) /
+        static_cast<double>(n));
+    std::vector<std::unique_ptr<Core>> cores;
+    for (unsigned c = 0; c < n; ++c) {
+        kernels[c]->forEachPreloadLine(
+            [&](Addr a) { hier.preload(c, a); }, preloadBudget);
+        cores.push_back(std::make_unique<Core>(
+            plat.cpu(), w.exec, &hier, c, kernels[c].get()));
+    }
+    std::vector<bool> live(n, true);
+    for (;;) {
+        int next = -1;
+        for (unsigned c = 0; c < n; ++c)
+            if (live[c] &&
+                (next < 0 || cores[c]->now() < cores[next]->now()))
+                next = static_cast<int>(c);
+        if (next < 0)
+            break;
+        if (!cores[next]->step())
+            live[next] = false;
+    }
+    Tick wall = 0;
+    CounterSet sum;
+    for (const auto &c : cores) {
+        wall = std::max(wall, c->now());
+        sum += c->counters();
+    }
+    sum.scale(1.0 / static_cast<double>(n));
+
+    EXPECT_EQ(heap.wallTicks, wall);
+    EXPECT_EQ(heap.counters.cycles, sum.cycles);
+    EXPECT_EQ(heap.counters.instructions, sum.instructions);
+    EXPECT_EQ(heap.counters.p1, sum.p1);
+    EXPECT_EQ(heap.counters.p3, sum.p3);
+    EXPECT_EQ(heap.counters.p5, sum.p5);
+    EXPECT_EQ(heap.counters.p6, sum.p6);
+    EXPECT_EQ(heap.counters.demandL3Miss, sum.demandL3Miss);
+    EXPECT_EQ(heap.counters.l2pfIssued, sum.l2pfIssued);
+    EXPECT_EQ(heap.backendStats.reads, scanBackend->stats().reads);
+    EXPECT_EQ(heap.backendStats.writes, scanBackend->stats().writes);
+    EXPECT_GT(heap.backendStats.requests(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, MultiCoreSchedule,
+                         ::testing::Values("605.mcf_s", "602.gcc_s",
+                                           "519.lbm_r",
+                                           "603.bwaves_s"));
+
+/** The end-of-run accounting checks hold on fault-free runs at
+ *  every core count the scheduler handles. */
+class MultiCoreInvariants
+    : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(MultiCoreInvariants, CleanRunRecordsNoViolations)
+{
+    const auto w = tinyWorkload(GetParam());
+    melody::Platform plat("EMR2S", "CXL-B");
+    auto be = plat.makeBackend(13);
+    sim::Invariants inv;
+    {
+        sim::InvariantScope scope(&inv);
+        MultiCore mc(plat.cpu(), w.exec, be.get(),
+                     workloads::makeKernels(w));
+        const RunResult r = mc.run();
+        EXPECT_GT(r.backendStats.requests(), 0u);
+    }
+    for (const auto &v : inv.violations())
+        ADD_FAILURE() << v.invariant << " @ " << v.where << ": "
+                      << v.values;
+    EXPECT_FALSE(inv.failed());
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, MultiCoreInvariants,
+                         ::testing::Values("605.mcf_s", "602.gcc_s",
+                                           "519.lbm_r",
+                                           "603.bwaves_s"));
+
+TEST(MultiCore, DoubleCountedReadsBreakConservation)
+{
+    // The clean-run checks above must be able to fail: a backend
+    // whose read count disagrees with the hierarchy's misses is
+    // reported as a conservation violation at the backend.
+    const auto w = tinyWorkload("602.gcc_s");
+    melody::Platform plat("EMR2S", "Local");
+    DoubleCountingBackend be(plat.makeBackend(17));
+    sim::Invariants inv;
+    {
+        sim::InvariantScope scope(&inv);
+        MultiCore mc(plat.cpu(), w.exec, &be,
+                     workloads::makeKernels(w));
+        (void)mc.run();
+    }
+    ASSERT_TRUE(inv.failed());
+    ASSERT_EQ(inv.violations().size(), 1u);
+    EXPECT_EQ(inv.violations()[0].invariant, "counters/conservation");
+    EXPECT_EQ(inv.violations()[0].where, "backend");
 }
 
 TEST(Profiles, SkxVsSprPrefetchHoming)

@@ -105,6 +105,21 @@ TEST(LintDeterminism, UnorderedIterFiresInCostModelPaths)
               (Expected{{"det-unordered-iter", 15}}));
 }
 
+TEST(LintDeterminism, UnorderedIterFiresInFigureDriverPaths)
+{
+    // Spa reports, the figure drivers and the CLI all print bytes
+    // that end up in results/golden, so each is an output path.
+    for (const char *path :
+         {"src/spa/fixture.cc", "bench/fixture.cc",
+          "tools/fixture.cc"}) {
+        SCOPED_TRACE(path);
+        const auto diags =
+            lintSource(path, fixture("det_unordered_iter.cc"));
+        EXPECT_EQ(ruleLines(diags),
+                  (Expected{{"det-unordered-iter", 15}}));
+    }
+}
+
 TEST(LintDeterminism, UnorderedIterQuietOutsideOutputPaths)
 {
     // The same loop in the memory model is order-insensitive
