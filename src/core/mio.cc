@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "cpu/hierarchy.hh"
+#include "sim/earliest.hh"
 #include "sim/rng.hh"
 
 namespace melody {
@@ -15,15 +16,15 @@ namespace {
 constexpr std::uint64_t kChaseRegion = 256ULL << 20;  // > LLC
 constexpr std::uint64_t kNoiseRegion = 64ULL << 20;
 
+/** One request stream; its next issue time lives in the scheduler. */
 struct Agent
 {
-    Tick nextIssue = 0;
     Addr base = 0;
     std::uint64_t spanLines = 0;
     Addr cursor = 0;
     bool chase = false;
     unsigned rwPhase = 0;
-    std::uint64_t remaining = 0;
+    std::uint64_t remaining = 0;  ///< chase samples left (chasers only)
 };
 
 }  // namespace
@@ -34,7 +35,11 @@ mioChaseDirect(mem::MemoryBackend *backend, unsigned threads,
                double peak_gbps, std::uint64_t seed)
 {
     Rng rng(seed);
+    const unsigned noiseSlots = noise.threads * noise.slotsPerThread;
     std::vector<Agent> agents;
+    agents.reserve(threads + noiseSlots);
+    sim::EarliestFirst sched;
+    sched.reserve(threads + noiseSlots);
 
     Addr nextBase = 0;
     for (unsigned t = 0; t < threads; ++t) {
@@ -44,10 +49,9 @@ mioChaseDirect(mem::MemoryBackend *backend, unsigned threads,
         a.spanLines = kChaseRegion / kCacheLineBytes;
         a.chase = true;
         a.remaining = samples_per_thread;
-        a.nextIssue = t;  // deterministic stagger
+        sched.push(t, t);  // deterministic stagger
         agents.push_back(a);
     }
-    const unsigned noiseSlots = noise.threads * noise.slotsPerThread;
     for (unsigned t = 0; t < noiseSlots; ++t) {
         Agent a;
         a.base = nextBase;
@@ -55,8 +59,8 @@ mioChaseDirect(mem::MemoryBackend *backend, unsigned threads,
         a.spanLines = kNoiseRegion / kCacheLineBytes;
         a.cursor = a.base;
         a.chase = false;
-        a.remaining = ~0ULL;
-        a.nextIssue = rng.below(1000);
+        sched.push(rng.below(1000),
+                   static_cast<std::uint32_t>(agents.size()));
         a.rwPhase = static_cast<unsigned>(rng.below(100));
         agents.push_back(a);
     }
@@ -64,19 +68,11 @@ mioChaseDirect(mem::MemoryBackend *backend, unsigned threads,
     MioResult res;
     std::uint64_t bytes = 0;
     Tick lastTick = 0;
-    std::uint64_t liveChasers = threads;
+    std::uint64_t liveChasers = samples_per_thread > 0 ? threads : 0;
 
     while (liveChasers > 0) {
-        std::size_t best = agents.size();
-        for (std::size_t i = 0; i < agents.size(); ++i) {
-            if (agents[i].remaining == 0)
-                continue;
-            if (best == agents.size() ||
-                agents[i].nextIssue < agents[best].nextIssue)
-                best = i;
-        }
-        Agent &a = agents[best];
-        const Tick issue = a.nextIssue;
+        Agent &a = agents[sched.top().index];
+        const Tick issue = sched.top().t;
 
         Addr addr;
         bool isWrite = false;
@@ -101,25 +97,20 @@ mioChaseDirect(mem::MemoryBackend *backend, unsigned threads,
         bytes += kCacheLineBytes;
         lastTick = std::max(lastTick, done);
 
-        if (a.chase) {
-            res.latencyNs.record(ticksToNs(done - issue));
-            // Dependent: next pointer known only after the load.
-            a.nextIssue = done + nsToTicks(2.0);
-            if (--a.remaining == 0) {
-                --liveChasers;
-                if (liveChasers == 0)
-                    break;
-                // Noise agents stop with the last chaser.
-                if (threads > 0 && liveChasers == 0)
-                    break;
-            }
-        } else {
-            a.nextIssue = done + nsToTicks(noise.paceNs);
+        if (!a.chase) {
+            sched.replaceTop(done + nsToTicks(noise.paceNs));
+            continue;
         }
-
-        // Terminate noise when all chasers finished.
-        if (liveChasers == 0)
-            break;
+        res.latencyNs.record(ticksToNs(done - issue));
+        if (--a.remaining > 0) {
+            // Dependent: next pointer known only after the load.
+            sched.replaceTop(done + nsToTicks(2.0));
+        } else {
+            // Noise agents stop with the last chaser.
+            if (--liveChasers == 0)
+                break;
+            sched.popTop();
+        }
     }
 
     const double secs =
@@ -143,43 +134,37 @@ mioChaseViaCpu(const cpu::CpuProfile &profile,
 
     struct Chaser
     {
-        Tick now = 0;
         Addr cursor = 0;
         std::uint64_t remaining = 0;
     };
     std::vector<Chaser> chasers(threads);
+    sim::EarliestFirst sched;
+    sched.reserve(threads);
     for (unsigned t = 0; t < threads; ++t) {
         chasers[t].cursor = static_cast<Addr>(t) * kChaseRegion;
         chasers[t].remaining = samples_per_thread;
-        chasers[t].now = t;
+        if (samples_per_thread > 0)
+            sched.push(t, t);
     }
 
-    std::uint64_t live = threads;
     std::uint64_t bytes = 0;
     Tick lastTick = 0;
-    while (live > 0) {
-        std::size_t best = chasers.size();
-        for (std::size_t i = 0; i < chasers.size(); ++i) {
-            if (chasers[i].remaining == 0)
-                continue;
-            if (best == chasers.size() ||
-                chasers[i].now < chasers[best].now)
-                best = i;
-        }
-        Chaser &c = chasers[best];
+    while (!sched.empty()) {
+        const auto [now, idx] = sched.top();
+        Chaser &c = chasers[idx];
         // Sequential pointer layout: the next pointer lives in the
         // next line, so the stride prefetcher can run ahead.
-        const auto out = hier.demandLoad(
-            static_cast<unsigned>(best), c.cursor,
-            /*stream_id=*/static_cast<unsigned>(best), c.now);
-        const Tick done = out.immediate ? c.now : out.readyAt;
-        res.latencyNs.record(ticksToNs(done - c.now));
+        const auto out =
+            hier.demandLoad(idx, c.cursor, /*stream_id=*/idx, now);
+        const Tick done = out.immediate ? now : out.readyAt;
+        res.latencyNs.record(ticksToNs(done - now));
         bytes += kCacheLineBytes;
         lastTick = std::max(lastTick, done);
         c.cursor += kCacheLineBytes;
-        c.now = done + nsToTicks(2.0);
-        if (--c.remaining == 0)
-            --live;
+        if (--c.remaining > 0)
+            sched.replaceTop(done + nsToTicks(2.0));
+        else
+            sched.popTop();
     }
 
     const double secs =

@@ -1,8 +1,9 @@
 #include "mlc.hh"
 
-#include <algorithm>
-#include <queue>
+#include <vector>
 
+#include "sim/earliest.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 #include "stats/streaming.hh"
@@ -15,10 +16,10 @@ namespace {
 
 constexpr double kCycleNs = 1.0 / 2.1;  // pacing clock (2.1 GHz)
 
-/** One issue slot: a self-repacing access chain. */
+/** One issue slot: a self-repacing access chain. Its next issue
+ *  time lives in the scheduler. */
 struct Slot
 {
-    Tick nextIssue;
     Addr cursor;
     Addr base;
     std::uint64_t span;
@@ -31,6 +32,11 @@ struct Slot
 MlcPoint
 mlcMeasure(mem::MemoryBackend *backend, const MlcConfig &cfg)
 {
+    const unsigned nTraffic = cfg.trafficThreads * cfg.slotsPerThread;
+    if (nTraffic == 0 && !cfg.latencyThread)
+        throw ConfigError("mlc: no traffic slots and no latency "
+                          "thread, nothing to measure");
+
     Rng rng(cfg.seed);
     const Tick delay = nsToTicks(cfg.delayCycles * kCycleNs);
     const Tick warmup = usToTicks(cfg.warmupUs);
@@ -39,8 +45,9 @@ mlcMeasure(mem::MemoryBackend *backend, const MlcConfig &cfg)
     // Build slots: traffic threads stream sequentially through
     // disjoint regions; the chase thread hops randomly.
     std::vector<Slot> slots;
-    const unsigned nTraffic = cfg.trafficThreads * cfg.slotsPerThread;
     slots.reserve(nTraffic + 1);
+    sim::EarliestFirst sched;
+    sched.reserve(nTraffic + 1);
     for (unsigned i = 0; i < nTraffic; ++i) {
         Slot s{};
         s.base = static_cast<Addr>(i) * cfg.regionBytes;
@@ -48,21 +55,19 @@ mlcMeasure(mem::MemoryBackend *backend, const MlcConfig &cfg)
         s.cursor = s.base + rng.below(s.span / kCacheLineBytes) *
                                 kCacheLineBytes;
         // Staggered start within one delay period.
-        s.nextIssue = delay ? rng.below(delay + 1) : i;
+        sched.push(delay ? rng.below(delay + 1) : i, i);
         s.chase = false;
         s.rwPhase = static_cast<unsigned>(rng.below(100));
         slots.push_back(s);
     }
-    int chaseIdx = -1;
     if (cfg.latencyThread) {
         Slot s{};
         s.base = static_cast<Addr>(nTraffic) * cfg.regionBytes;
         s.span = cfg.regionBytes;
         s.cursor = s.base;
-        s.nextIssue = 0;
         s.chase = true;
+        sched.push(0, nTraffic);
         slots.push_back(s);
-        chaseIdx = static_cast<int>(slots.size()) - 1;
     }
 
     stats::Histogram lat(1.0, 1e7, 64);
@@ -70,15 +75,9 @@ mlcMeasure(mem::MemoryBackend *backend, const MlcConfig &cfg)
     std::uint64_t bytes = 0;
 
     // Advance the earliest slot until the window closes.
-    while (true) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < slots.size(); ++i)
-            if (slots[i].nextIssue < slots[best].nextIssue)
-                best = i;
-        Slot &s = slots[best];
-        const Tick issue = s.nextIssue;
-        if (issue >= end)
-            break;
+    while (sched.top().t < end) {
+        Slot &s = slots[sched.top().index];
+        const Tick issue = sched.top().t;
 
         bool isWrite = false;
         Addr addr;
@@ -111,9 +110,8 @@ mlcMeasure(mem::MemoryBackend *backend, const MlcConfig &cfg)
         }
         // Closed-loop with injected delay: next access when this
         // one completes plus the pacing delay.
-        s.nextIssue = done + delay;
-        if (s.chase)
-            s.nextIssue = done + nsToTicks(2.0);  // tiny compute
+        sched.replaceTop(s.chase ? done + nsToTicks(2.0)  // tiny compute
+                                 : done + delay);
     }
 
     MlcPoint p;
@@ -122,7 +120,7 @@ mlcMeasure(mem::MemoryBackend *backend, const MlcConfig &cfg)
                         static_cast<double>(kTicksPerSec);
     // Exclude the latency thread's own traffic from bandwidth.
     const std::uint64_t chaseBytes =
-        chaseIdx >= 0 ? latAll.count() * kCacheLineBytes : 0;
+        cfg.latencyThread ? latAll.count() * kCacheLineBytes : 0;
     p.gbps = static_cast<double>(bytes - chaseBytes) / 1e9 / secs;
     p.avgNs = latAll.mean();
     p.p50Ns = lat.percentile(0.50);

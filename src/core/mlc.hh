@@ -57,7 +57,11 @@ struct MlcPoint
     std::uint64_t samples = 0;
 };
 
-/** Measure one operating point on @p backend. */
+/**
+ * Measure one operating point on @p backend.
+ * @throw ConfigError if @p cfg has neither traffic slots nor a
+ *        latency thread.
+ */
 MlcPoint mlcMeasure(cxlsim::mem::MemoryBackend *backend,
                     const MlcConfig &cfg);
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/earliest.hh"
 #include "sim/invariants.hh"
 #include "sim/logging.hh"
 
@@ -37,23 +38,6 @@ MultiCore::enableSampling(Tick interval)
     cores_[0]->enableSampling(interval, &samples_);
 }
 
-namespace {
-
-/** Scheduler key: earliest (core time, core index) runs next. */
-struct CoreKey
-{
-    Tick now;
-    std::uint32_t idx;
-};
-
-bool
-earlier(const CoreKey &a, const CoreKey &b)
-{
-    return a.now < b.now || (a.now == b.now && a.idx < b.idx);
-}
-
-}  // namespace
-
 RunResult
 MultiCore::run()
 {
@@ -79,43 +63,19 @@ void
 MultiCore::runSerial()
 {
     // Advance the earliest core until all kernels finish. Ties
-    // break toward the lowest core index, matching the original
-    // linear scan, so request interleaving at the shared backend —
-    // and therefore every counter — is bit-identical.
-    if (cores_.size() == 1) {
-        while (cores_[0]->step()) {
-        }
-    } else {
-        // Indexed min-heap over core-local times. A core's key is
-        // only stale while the core is being stepped, so pops are
-        // always exact; the fast path keeps re-stepping the popped
-        // core while it remains earlier than the heap's root,
-        // skipping the push/pop pair entirely.
-        const auto later = [](const CoreKey &a, const CoreKey &b) {
-            return earlier(b, a);
-        };
-        std::vector<CoreKey> heap;
-        heap.reserve(cores_.size());
-        for (std::uint32_t i = 0; i < cores_.size(); ++i)
-            heap.push_back({cores_[i]->now(), i});
-        std::make_heap(heap.begin(), heap.end(), later);
-
-        while (!heap.empty()) {
-            std::pop_heap(heap.begin(), heap.end(), later);
-            const std::uint32_t idx = heap.back().idx;
-            heap.pop_back();
-            Core *c = cores_[idx].get();
-            for (;;) {
-                if (!c->step())
-                    break;  // kernel exhausted; drop from heap
-                const CoreKey k{c->now(), idx};
-                if (heap.empty() || earlier(k, heap.front()))
-                    continue;  // still earliest: step again
-                heap.push_back(k);
-                std::push_heap(heap.begin(), heap.end(), later);
-                break;
-            }
-        }
+    // break toward the lowest core index, matching a linear scan,
+    // so request interleaving at the shared backend — and therefore
+    // every counter — is bit-identical.
+    sim::EarliestFirst sched;
+    sched.reserve(cores_.size());
+    for (std::uint32_t i = 0; i < cores_.size(); ++i)
+        sched.push(cores_[i]->now(), i);
+    while (!sched.empty()) {
+        Core &c = *cores_[sched.top().index];
+        if (c.step())
+            sched.replaceTop(c.now());
+        else
+            sched.popTop();  // kernel exhausted
     }
 }
 

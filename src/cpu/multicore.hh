@@ -88,7 +88,7 @@ class MultiCore
     MemoryHierarchy &hierarchy() { return *hier_; }
 
   private:
-    /** Serial engine: indexed min-heap, (now, idx) order. */
+    /** Serial engine: steps the earliest core, (now, idx) order. */
     void runSerial();
 
     /** End-of-run counter-accounting checks (sim::Invariants). */

@@ -247,6 +247,21 @@ TEST(PlatformDeath, UnknownMemoryThrows)
     EXPECT_THROW(p.makeBackend(1), cxlsim::ConfigError);
 }
 
+TEST(MlcDeath, NoSlotsThrows)
+{
+    Platform p("EMR2S", "Local");
+    auto be = p.makeBackend(1);
+    melody::MlcConfig cfg;
+    cfg.trafficThreads = 0;
+    cfg.latencyThread = false;
+    EXPECT_THROW(melody::mlcMeasure(be.get(), cfg),
+                 cxlsim::ConfigError);
+    cfg.trafficThreads = 4;
+    cfg.slotsPerThread = 0;
+    EXPECT_THROW(melody::mlcMeasure(be.get(), cfg),
+                 cxlsim::ConfigError);
+}
+
 TEST(SuiteDeath, UnknownWorkloadThrows)
 {
     EXPECT_THROW(workloads::byName("586.quake_r"),

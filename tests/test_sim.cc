@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the simulation kernel: event queue and RNG.
+ * Unit tests for the simulation kernel: event queue, earliest-first
+ * scheduler and RNG.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/earliest.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 #include "sim/rng.hh"
@@ -306,3 +308,68 @@ TEST(Rng, ForkProducesIndependentStream)
         same += b.next() == c.next();
     EXPECT_LT(same, 2);
 }
+
+/**
+ * EarliestFirst must always expose the agent a linear scan for the
+ * lowest (t, index) would pick, so swapping one for the other never
+ * reorders requests. Keys are drawn from only 8 ticks: most
+ * comparisons tie and the index tie-break decides. The sizes are
+ * the agent counts the fig03 harness runs (MLC: 31 x 24 + 1).
+ */
+class EarliestFirstOrder : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(EarliestFirstOrder, MatchesLinearScan)
+{
+    using Key = std::pair<Tick, unsigned>;
+    const unsigned n = GetParam();
+    Rng rng(7919 + n);
+    std::vector<Tick> tick(n);
+    std::vector<bool> live(n, false);
+    std::vector<unsigned> dead(n);
+    for (unsigned i = 0; i < n; ++i)
+        dead[i] = i;
+    sim::EarliestFirst sched;
+    sched.reserve(n);
+
+    const Key none{~Tick{0}, n};
+    const auto scan = [&] {
+        Key best = none;
+        for (unsigned i = 0; i < n; ++i)
+            if (live[i] && Key{tick[i], i} < best)
+                best = {tick[i], i};
+        return best;
+    };
+    const auto top = [&] {
+        return sched.empty()
+                   ? none
+                   : Key{sched.top().t, sched.top().index};
+    };
+
+    for (int op = 0; op < 20000; ++op) {
+        const std::uint64_t r = rng.below(10);
+        if (!dead.empty() && (sched.empty() || r < 2)) {
+            const std::size_t k = rng.below(dead.size());
+            const unsigned i = dead[k];
+            dead[k] = dead.back();
+            dead.pop_back();
+            tick[i] = rng.below(8);
+            live[i] = true;
+            sched.push(tick[i], i);
+        } else if (r < 3) {
+            const unsigned i = sched.top().index;
+            live[i] = false;
+            dead.push_back(i);
+            sched.popTop();
+        } else {
+            const unsigned i = sched.top().index;
+            tick[i] = rng.below(8);
+            sched.replaceTop(tick[i]);
+        }
+        ASSERT_EQ(top(), scan()) << "op " << op;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, EarliestFirstOrder,
+                         ::testing::Values(1u, 2u, 7u, 193u, 745u));
