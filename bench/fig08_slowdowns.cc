@@ -30,9 +30,9 @@ buildFig08(sweep::Sweep &S)
 {
     S.text(bench::headerText("Figure 8",
                              "Workload slowdowns at scale"));
-    // Shared across points: the study memoizes local baselines
-    // under a mutex, so concurrent points reuse (deterministic)
-    // baseline runs instead of recomputing all of them.
+    // Shared across points: the study's single-flight memo runs
+    // each local baseline once, however many points ask for it at
+    // the same moment.
     auto study = std::make_shared<melody::SlowdownStudy>(4242);
     const auto &all = workloads::suite();
 

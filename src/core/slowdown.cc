@@ -33,27 +33,59 @@ slowdownPct(const cpu::RunResult &baseline,
            100.0;
 }
 
+namespace {
+
+/** Memo key: everything runWorkload() draws on besides the study
+ *  seed. Callers may run scaled or reseeded variants of the same
+ *  named workload. */
+std::string
+baselineKey(const workloads::WorkloadProfile &w,
+            const std::string &server)
+{
+    return server + "/" + w.name + "/" +
+           std::to_string(w.blocksPerCore) + "/" +
+           std::to_string(w.threads) + "/" + std::to_string(w.seed);
+}
+
+}  // namespace
+
+SlowdownStudy::Baseline
+SlowdownStudy::acquire(const workloads::WorkloadProfile &w,
+                       const std::string &server)
+{
+    const std::string key = baselineKey(w, server);
+    std::promise<cpu::RunResult> owner;
+    Baseline mine = owner.get_future().share();
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto [it, claimed] = baselines_.try_emplace(key, mine);
+        if (!claimed)
+            return it->second;
+        ++baselineRuns_;
+    }
+    try {
+        owner.set_value(runWorkload(w, Platform(server, "Local"), seed_));
+    } catch (...) {
+        // Unclaim first, so a later call reruns the baseline, then
+        // wake the current waiters with the error.
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            baselines_.erase(key);
+        }
+        owner.set_exception(std::current_exception());
+        throw;
+    }
+    return mine;
+}
+
 const cpu::RunResult &
 SlowdownStudy::baseline(const workloads::WorkloadProfile &w,
                         const std::string &server)
 {
-    // Include run length and thread count: callers may run scaled
-    // variants of the same named workload.
-    const std::string key = server + "/" + w.name + "/" +
-                            std::to_string(w.blocksPerCore) + "/" +
-                            std::to_string(w.threads);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = baselines_.find(key);
-        if (it != baselines_.end())
-            return it->second;
-    }
-    Platform p(server, "Local");
-    cpu::RunResult r = runWorkload(w, p, seed_);
-    std::lock_guard<std::mutex> lock(mu_);
-    // Another thread may have inserted meanwhile; emplace keeps
-    // the first (identical, deterministic) result.
-    return baselines_.emplace(key, std::move(r)).first->second;
+    // The memo holds another copy of the slot, which keeps the
+    // result alive after this one goes.
+    const Baseline base = acquire(w, server);
+    return base.get();
 }
 
 double
@@ -70,10 +102,11 @@ SlowdownStudy::slowdownWithRun(const workloads::WorkloadProfile &w,
                                const std::string &memory,
                                cpu::RunResult *test_out)
 {
-    const cpu::RunResult &base = baseline(w, server);
-    Platform p(server, memory);
-    cpu::RunResult test = runWorkload(w, p, seed_);
-    const double s = slowdownPct(base, test);
+    // The owner runs the baseline first, since others may wait on
+    // it; everyone else runs the test while the owner computes.
+    const Baseline base = acquire(w, server);
+    cpu::RunResult test = runWorkload(w, Platform(server, memory), seed_);
+    const double s = slowdownPct(base.get(), test);
     if (test_out)
         *test_out = std::move(test);
     return s;

@@ -10,7 +10,9 @@
 #ifndef MELODY_CORE_SLOWDOWN_HH
 #define MELODY_CORE_SLOWDOWN_HH
 
+#include <atomic>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <mutex>
 #include <string>
@@ -35,14 +37,24 @@ double slowdownPct(const cxlsim::cpu::RunResult &baseline,
 
 /**
  * Runs workloads across setups, caching the per-server Local
- * baseline so each workload's baseline runs once.
+ * baseline so each workload's baseline runs once, even when many
+ * threads ask for it at the same moment.
+ *
+ * The memo is single-flight: the first caller to claim a key runs
+ * the baseline and publishes it through a shared future; later
+ * callers wait on that future. A baseline run that throws is
+ * erased from the memo (a later call reruns it) and its exception
+ * is rethrown to every caller that was waiting on it.
  */
 class SlowdownStudy
 {
   public:
     explicit SlowdownStudy(std::uint64_t seed = 1234) : seed_(seed) {}
 
-    /** Baseline result for (workload, server), memoized. */
+    /**
+     * Baseline result for (workload, server), memoized. The
+     * reference stays valid for the study's lifetime.
+     */
     const cxlsim::cpu::RunResult &
     baseline(const cxlsim::workloads::WorkloadProfile &w,
              const std::string &server);
@@ -52,7 +64,11 @@ class SlowdownStudy
                     const std::string &server,
                     const std::string &memory);
 
-    /** As slowdown(), but also expose the test run. */
+    /**
+     * As slowdown(), but also expose the test run. A caller that
+     * finds the baseline claimed by another thread runs its test
+     * first and only then waits for the baseline.
+     */
     double slowdownWithRun(const cxlsim::workloads::WorkloadProfile &w,
                            const std::string &server,
                            const std::string &memory,
@@ -68,10 +84,24 @@ class SlowdownStudy
         const std::string &server, const std::string &memory,
         unsigned threads = 0);
 
+    /** Baseline runs started so far (failed ones included). */
+    unsigned baselineRuns() const { return baselineRuns_.load(); }
+
   private:
+    using Baseline = std::shared_future<cxlsim::cpu::RunResult>;
+
+    /**
+     * The memo slot for (w, server). If this call claims it, the
+     * baseline runs before it returns, and its error is rethrown;
+     * otherwise the slot may still be filling.
+     */
+    Baseline acquire(const cxlsim::workloads::WorkloadProfile &w,
+                     const std::string &server);
+
     std::uint64_t seed_;
     std::mutex mu_;
-    std::map<std::string, cxlsim::cpu::RunResult> baselines_;
+    std::map<std::string, Baseline> baselines_;
+    std::atomic<unsigned> baselineRuns_{0};
 };
 
 }  // namespace melody

@@ -1,20 +1,59 @@
 #include "cache.hh"
 
+#include <sys/mman.h>
+
 #include "sim/logging.hh"
 
 namespace cxlsim::cpu {
 
+namespace {
+
+/** Arrays at least one x86-64 huge page long go to mmap. */
+constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+void *
+allocZeroed(std::size_t bytes)
+{
+    if (bytes < kHugePageBytes)
+        return std::calloc(bytes, 1);
+    // Anonymous pages are zeroed lazily, like calloc's, so a
+    // 100s-of-MB LLC still costs O(1) to construct. The advice is a
+    // no-op where THP is disabled.
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        return nullptr;
+    madvise(p, bytes, MADV_HUGEPAGE);
+    return p;
+}
+
+}  // namespace
+
+template <typename T>
+std::unique_ptr<T[], Cache::FreeDeleter>
+Cache::zeroedArray(std::size_t n)
+{
+    const std::size_t bytes = n * sizeof(T);
+    return {static_cast<T *>(allocZeroed(bytes)), FreeDeleter{bytes}};
+}
+
+void
+Cache::FreeDeleter::operator()(void *p) const
+{
+    if (bytes < kHugePageBytes)
+        std::free(p);
+    else
+        munmap(p, bytes);
+}
+
 Cache::Cache(std::uint64_t size_bytes, unsigned ways)
-    : sets_(size_bytes / (kCacheLineBytes * ways)), ways_(ways)
+    : sets_(size_bytes / (kCacheLineBytes * ways)), ways_(ways),
+      tags_(zeroedArray<Addr>(sets_ * ways_)),
+      meta_(zeroedArray<Meta>(sets_ * ways_)),
+      mru_(zeroedArray<std::uint8_t>(sets_))
 {
     SIM_ASSERT(sets_ >= 1, "cache too small");
     SIM_ASSERT(ways_ >= 1 && ways_ <= 255, "ways out of range");
-    const std::size_t n = sets_ * ways_;
-    // calloc: lazily-zeroed pages make constructing a 100s-of-MB
-    // LLC O(1) instead of an eager multi-ms memset per run.
-    tags_.reset(static_cast<Addr *>(std::calloc(n, sizeof(Addr))));
-    meta_.reset(static_cast<Meta *>(std::malloc(n * sizeof(Meta))));
-    mru_.reset(static_cast<std::uint8_t *>(std::calloc(sets_, 1)));
     SIM_ASSERT(tags_ && meta_ && mru_, "cache allocation failed");
 }
 

@@ -17,10 +17,11 @@
  * packed into a single 8-byte word, so a 16-way set is two host
  * cachelines instead of ten), with an MRU-way first probe; the cold
  * per-line metadata (readyAt, LRU stamp, home, dirty) lives in a
- * parallel array that is only touched after a tag match. The tag
- * array is calloc'd so multi-hundred-MB LLCs cost no up-front
- * zeroing — the OS hands out lazily-zeroed pages and first-touch
- * cost is spread across the run.
+ * parallel array that is only touched after a tag match. The
+ * arrays come from lazily-zeroed pages, so multi-hundred-MB LLCs
+ * cost no up-front zeroing; arrays of 2 MiB or more (LLC tags and
+ * metadata) are mmap'd and advised onto transparent huge pages,
+ * so first touch faults once per 2 MiB instead of once per 4 KiB.
  */
 
 #ifndef CXLSIM_CPU_CACHE_HH
@@ -104,8 +105,8 @@ class Cache
   private:
     /**
      * Cold per-line state; read only after a tag match, so the
-     * backing array is deliberately left uninitialized (trivial
-     * type, written by insert() before any read).
+     * backing array needs no initialization (trivial type,
+     * written by insert() before any read).
      */
     struct Meta
     {
@@ -132,10 +133,16 @@ class Cache
     /** Way holding @p line_addr in @p set, or -1. MRU-first probe. */
     int findWay(std::size_t set, Addr line_addr) const;
 
+    /** Frees zeroedArray() storage; how depends on its size. */
     struct FreeDeleter
     {
-        void operator()(void *p) const { std::free(p); }
+        std::size_t bytes = 0;
+        void operator()(void *p) const;
     };
+
+    /** @p n zeroed Ts, huge-page backed when large (see above). */
+    template <typename T>
+    static std::unique_ptr<T[], FreeDeleter> zeroedArray(std::size_t n);
 
     std::uint64_t sets_;
     unsigned ways_;

@@ -10,12 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
+#include <future>
+#include <latch>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/platform.hh"
 #include "core/slowdown.hh"
 #include "ras/fault_plan.hh"
+#include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "workloads/suite.hh"
 
@@ -177,6 +183,75 @@ TEST(Determinism, RepeatedParallelRunsAreStable)
     }
     for (std::size_t i = 0; i < ws.size(); ++i)
         expectSameResult(first[i], second[i], ws[i].name);
+}
+
+TEST(Determinism, SlowdownStudyRunsEachBaselineOnce)
+{
+    // Four setups race for one workload's baseline: the memo must
+    // run it once, and the shared result must be exactly what a
+    // fresh study computes serially. SKX2S keeps the LLC small.
+    workloads::WorkloadProfile w = workloads::byName("605.mcf_s");
+    w.blocksPerCore = 800;
+    const std::vector<std::string> mems = {"NUMA-140ns", "CXL-A",
+                                           "CXL-B", "CXL-D"};
+    melody::SlowdownStudy study(21);
+    std::vector<double> slow(mems.size());
+    std::vector<cpu::RunResult> runs(mems.size());
+    std::latch start(static_cast<std::ptrdiff_t>(mems.size()));
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < mems.size(); ++i)
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            slow[i] = study.slowdownWithRun(w, "SKX2S", mems[i],
+                                            &runs[i]);
+        });
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(study.baselineRuns(), 1u);
+
+    melody::SlowdownStudy fresh(21);
+    for (std::size_t i = 0; i < mems.size(); ++i) {
+        cpu::RunResult ref;
+        EXPECT_EQ(slow[i],
+                  fresh.slowdownWithRun(w, "SKX2S", mems[i], &ref))
+            << mems[i];
+        expectSameResult(ref, runs[i], mems[i]);
+    }
+    expectSameResult(fresh.baseline(w, "SKX2S"),
+                     study.baseline(w, "SKX2S"), "baseline");
+    EXPECT_EQ(study.baselineRuns(), 1u);
+}
+
+TEST(Determinism, FailedSlowdownBaselineRethrowsToEveryCaller)
+{
+    // A baseline that throws must reach every concurrent caller as
+    // the same error (none left waiting forever) and must not stay
+    // in the memo: the next call runs it again.
+    workloads::WorkloadProfile w = workloads::byName("605.mcf_s");
+    w.blocksPerCore = 800;
+    melody::SlowdownStudy study(21);
+    constexpr int kCallers = 8;
+    std::latch start(kCallers);
+    std::vector<std::future<void>> calls;
+    for (int i = 0; i < kCallers; ++i)
+        calls.push_back(std::async(std::launch::async, [&, i] {
+            start.arrive_and_wait();
+            if (i % 2)
+                study.baseline(w, "NoSuchServer");
+            else
+                study.slowdownWithRun(w, "NoSuchServer", "CXL-A",
+                                      nullptr);
+        }));
+    for (auto &c : calls) {
+        ASSERT_EQ(c.wait_for(std::chrono::seconds(60)),
+                  std::future_status::ready)
+            << "a caller is stuck on a failed baseline";
+        EXPECT_THROW(c.get(), ConfigError);
+    }
+    const unsigned runs = study.baselineRuns();
+    EXPECT_GE(runs, 1u);
+    EXPECT_THROW(study.baseline(w, "NoSuchServer"), ConfigError);
+    EXPECT_EQ(study.baselineRuns(), runs + 1);
 }
 
 TEST(Determinism, ParallelForCoversEveryIndexOnce)

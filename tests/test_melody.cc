@@ -163,6 +163,23 @@ TEST(Slowdown, StudyCachesBaselines)
     EXPECT_LT(s, 100.0);
 }
 
+TEST(Slowdown, StudyKeysBaselinesBySeed)
+{
+    // runWorkload draws the kernel stream and backend seed from
+    // w.seed, so reseeded profiles need baselines of their own.
+    melody::SlowdownStudy study(77);
+    workloads::WorkloadProfile a = workloads::byName("605.mcf_s");
+    a.blocksPerCore = 2000;
+    workloads::WorkloadProfile b = a;
+    b.seed = a.seed + 1;
+    const auto &ba = study.baseline(a, "EMR2S");
+    const auto &bb = study.baseline(b, "EMR2S");
+    EXPECT_NE(&ba, &bb);
+    EXPECT_EQ(study.baselineRuns(), 2u);
+    EXPECT_TRUE(ba.wallTicks != bb.wallTicks ||
+                ba.backendStats.reads != bb.backendStats.reads);
+}
+
 TEST(Slowdown, SuperLinearInLatency)
 {
     // Finding #2: slowdown grows super-linearly with latency; at
