@@ -1,6 +1,5 @@
 #include "server.hh"
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -23,8 +22,7 @@
 #include "sim/io_fault.hh"
 #include "sim/logging.hh"
 #include "sim/retry_io.hh"
-#include "sim/supervisor.hh"
-#include "stats/rows.hh"
+#include "sim/worker.hh"
 
 namespace cxlsim::serve {
 
@@ -57,20 +55,12 @@ struct PendingReq
 /** One in-flight forked request worker. */
 struct Worker
 {
-    pid_t pid = -1;
-    int pipeFd = -1;
+    /** The child. Its forced cause "cancelled" means the client
+     *  vanished: reap silently, send nothing. Never set while
+     *  waiters remain — a waiter is promoted instead. */
+    sim::ForkWorker proc;
     int clientFd = -1;
     std::uint64_t id = 0;
-    /** Result bytes accumulated off the pipe. */
-    std::string payload;
-    bool hasDeadline = false;
-    Clock::time_point deadline;
-    /** Set when the supervisor SIGKILLed it ("watchdog-timeout",
-     *  "drain-timeout"); wins over the raw exit status. */
-    std::string forcedCause;
-    /** Client vanished: reap silently, send nothing. Never set
-     *  while waiters remain — a waiter is promoted instead. */
-    bool cancelled = false;
     /** Single-flight key; duplicates arriving mid-flight attach
      *  here and receive the same result bytes. */
     std::string key;
@@ -136,14 +126,6 @@ class ServeJournal
     bool degraded_ = false;
 };
 
-/** Set O_NONBLOCK + FD_CLOEXEC on @p fd. */
-void
-setNonblockCloexec(int fd)
-{
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
-    ::fcntl(fd, F_SETFD, ::fcntl(fd, F_GETFD) | FD_CLOEXEC);
-}
-
 class ServerImpl
 {
   public:
@@ -181,7 +163,6 @@ class ServerImpl
     void closeSession(int fd);
     void dispatch();
     void spawnWorker(const PendingReq &req);
-    void runWorkerChild(int wfd, const SweepJob &job);
     void pumpWorker(int pipeFd);
     void finishWorker(Worker w);
     void checkWatchdogs();
@@ -217,7 +198,8 @@ ServerImpl::listenUnix()
     std::memcpy(sa.sun_path, cfg_.socketPath.c_str(),
                 cfg_.socketPath.size());
     ::unlink(cfg_.socketPath.c_str());
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd =
+        ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (fd < 0)
         throw ConfigError(std::string("cannot create socket: ") +
                           std::strerror(errno));
@@ -229,14 +211,14 @@ ServerImpl::listenUnix()
         throw ConfigError("cannot listen on '" + cfg_.socketPath +
                           "': " + why);
     }
-    setNonblockCloexec(fd);
     return fd;
 }
 
 int
 ServerImpl::listenTcp()
 {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd =
+        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (fd < 0)
         throw ConfigError(std::string("cannot create TCP socket: ") +
                           std::strerror(errno));
@@ -261,7 +243,6 @@ ServerImpl::listenTcp()
                       &len) == 0)
         log("TCP listener on 127.0.0.1:" +
             std::to_string(ntohs(sa.sin_port)));
-    setNonblockCloexec(fd);
     return fd;
 }
 
@@ -379,7 +360,7 @@ ServerImpl::closeSession(int fd)
     }
     for (auto &[pipeFd, w] : workers_) {
         dropWaiters(&w.waiters);
-        if (w.clientFd == fd && !w.cancelled) {
+        if (w.clientFd == fd && w.proc.forcedCause() != "cancelled") {
             if (!w.waiters.empty()) {
                 // Promote: the shared worker keeps running for the
                 // surviving duplicates (mid-flight disconnects must
@@ -390,8 +371,7 @@ ServerImpl::closeSession(int fd)
                 w.id = w.waiters.front().id;
                 w.waiters.erase(w.waiters.begin());
             } else {
-                w.cancelled = true;
-                ::kill(w.pid, SIGKILL);
+                w.proc.kill("cancelled");
             }
         }
     }
@@ -437,8 +417,8 @@ ServerImpl::handleRequest(Session *s, const std::string &payload)
     // result — checked *before* bounded admission, since a waiter
     // consumes no queue slot and no worker. In-flight workers are
     // preferred so a duplicate of a nearly-done request doesn't
-    // jump behind a full queue; workers already condemned (forced
-    // cause, cancelled) are not joinable.
+    // jump behind a full queue; workers already condemned (any
+    // forced cause, cancellation included) are not joinable.
     const std::string key = req.figure + '\x1f' + req.arg;
     const auto admitCoalesced = [&](std::uint64_t intoId,
                                     std::vector<Waiter> *waiters) {
@@ -453,8 +433,7 @@ ServerImpl::handleRequest(Session *s, const std::string &payload)
         waiters->push_back({s->fd, id});
     };
     for (auto &[pipeFd, w] : workers_) {
-        if (w.key == key && !w.cancelled &&
-            w.forcedCause.empty()) {
+        if (w.key == key && w.proc.forcedCause().empty()) {
             admitCoalesced(w.id, &w.waiters);
             return;
         }
@@ -541,70 +520,37 @@ ServerImpl::dispatch()
 }
 
 void
-ServerImpl::runWorkerChild(int wfd, const SweepJob &job)
-{
-    // The child is a fresh, single-purpose process: default signal
-    // disposition (so a crash is visible as a crash) and no share
-    // of the parent's sockets.
-    sim::resetInterruptHandlers();
-    ::signal(SIGPIPE, SIG_IGN);
-    for (const int lfd : listeners_)
-        ::close(lfd);
-    for (const auto &[fd, s] : sessions_)
-        ::close(fd);
-    for (const auto &[pipeFd, w] : workers_)
-        ::close(pipeFd);
-
-    std::vector<std::string> rows;
-    try {
-        const SweepResult r = cfg_.runner(job);
-        if (r.ok)
-            rows = {"ok", r.output, std::to_string(r.cacheHits),
-                    std::to_string(r.cacheStores)};
-        else
-            rows = {"err",
-                    r.cause.empty() ? "runner-error" : r.cause,
-                    r.output};
-    } catch (const std::exception &e) {
-        rows = {"err", std::string("exception: ") + e.what(), ""};
-    } catch (...) {
-        rows = {"err", "exception: unknown", ""};
-    }
-    (void)sim::retryWriteAll(wfd, stats::encodeRows(rows));
-    ::_exit(0);
-}
-
-void
 ServerImpl::spawnWorker(const PendingReq &req)
 {
-    // A spawn failure fails everyone riding the request — each
-    // admitted id gets exactly one reply, coalesced or not.
-    const auto failAll = [&](const std::string &cause,
-                             const std::string &message) {
-        failRequest(req.clientFd, req.id, cause, message);
+    // The child shares none of the parent's sockets or pipes.
+    std::vector<int> parentFds = listeners_;
+    for (const auto &[fd, s] : sessions_)
+        parentFds.push_back(fd);
+    for (const auto &[pipeFd, w] : workers_)
+        parentFds.push_back(pipeFd);
+    Worker w;
+    const std::string failed = w.proc.spawn(
+        [&] {
+            const SweepResult r = cfg_.runner(req.job);
+            if (r.ok)
+                return std::vector<std::string>{
+                    "ok", r.output, std::to_string(r.cacheHits),
+                    std::to_string(r.cacheStores)};
+            return std::vector<std::string>{
+                "err", r.cause.empty() ? "runner-error" : r.cause,
+                r.output};
+        },
+        parentFds, cfg_.timeoutMs);
+    if (!failed.empty()) {
+        // A spawn failure fails everyone riding the request — each
+        // admitted id gets exactly one reply, coalesced or not.
+        const std::string message =
+            "could not start a worker; daemon unaffected";
+        failRequest(req.clientFd, req.id, failed, message);
         for (const Waiter &wt : req.waiters)
-            failRequest(wt.clientFd, wt.id, cause, message);
-    };
-    int fds[2];
-    if (sim::retryPipe2(fds, O_CLOEXEC) != 0) {
-        failAll("spawn-failed",
-                std::string("pipe: ") + std::strerror(errno));
+            failRequest(wt.clientFd, wt.id, failed, message);
         return;
     }
-    const pid_t pid = sim::retryFork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        failAll("spawn-failed",
-                std::string("fork: ") + std::strerror(errno));
-        return;
-    }
-    if (pid == 0) {
-        ::close(fds[0]);
-        runWorkerChild(fds[1], req.job);  // never returns
-    }
-    ::close(fds[1]);
-    setNonblockCloexec(fds[0]);
     ++stats_.forked;
     // Bounded queue-wait sample window: enough for percentiles,
     // never unbounded memory on a long-lived daemon.
@@ -615,53 +561,29 @@ ServerImpl::spawnWorker(const PendingReq &req)
         std::chrono::duration<double, std::milli>(Clock::now() -
                                                   req.admitted)
             .count());
-    Worker w;
-    w.pid = pid;
-    w.pipeFd = fds[0];
     w.clientFd = req.clientFd;
     w.id = req.id;
     w.key = req.key;
     w.waiters = req.waiters;
     w.spawned = Clock::now();
-    if (cfg_.timeoutMs > 0) {
-        w.hasDeadline = true;
-        w.deadline = Clock::now() +
-                     std::chrono::milliseconds(cfg_.timeoutMs);
-    }
-    workers_.emplace(fds[0], std::move(w));
+    workers_.emplace(w.proc.fd(), std::move(w));
 }
 
 void
 ServerImpl::pumpWorker(int pipeFd)
 {
     const auto it = workers_.find(pipeFd);
-    if (it == workers_.end())
-        return;
-    Worker &w = it->second;
-    char buf[1 << 14];
-    for (;;) {
-        const ssize_t n = sim::retryRead(pipeFd, buf, sizeof(buf));
-        if (n > 0) {
-            w.payload.append(buf, static_cast<std::size_t>(n));
-            continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return;  // more to come
-        // EOF (or unrecoverable pipe error): worker is done.
-        Worker done = std::move(w);
-        workers_.erase(it);
-        ::close(pipeFd);
-        finishWorker(std::move(done));
-        return;
-    }
+    if (it == workers_.end() || !it->second.proc.pump())
+        return;  // more to come
+    Worker done = std::move(it->second);
+    workers_.erase(it);
+    finishWorker(std::move(done));
 }
 
 void
 ServerImpl::finishWorker(Worker w)
 {
-    int status = 0;
-    sim::retryWaitpid(w.pid, &status, 0);
-
+    const sim::WorkerOutcome out = w.proc.reap();
     const double workerMs =
         std::chrono::duration<double, std::milli>(Clock::now() -
                                                   w.spawned)
@@ -672,7 +594,7 @@ ServerImpl::finishWorker(Worker w)
         ct.totalMs += workerMs;
     };
 
-    if (w.cancelled) {
+    if (w.proc.forcedCause() == "cancelled") {
         // Invariant: a cancelled worker has no waiters (the primary
         // is only cancelled when nobody was left to promote).
         ++stats_.cancelled;
@@ -683,10 +605,8 @@ ServerImpl::finishWorker(Worker w)
         return;
     }
 
-    std::vector<std::string> rows;
-    const bool decoded =
-        stats::decodeRows(w.payload, &rows) && rows.size() >= 2;
-    if (decoded && rows[0] == "ok") {
+    const std::vector<std::string> &rows = out.rows;
+    if (out.ok() && rows.size() >= 2 && rows[0] == "ok") {
         if (rows.size() >= 4) {
             stats_.cacheHits += std::strtoull(rows[2].c_str(),
                                               nullptr, 10);
@@ -710,23 +630,24 @@ ServerImpl::finishWorker(Worker w)
         return;
     }
 
-    std::string cause, message;
-    if (decoded && rows[0] == "err") {
+    // The cause is the worker ladder's (sim/worker.hh) unless the
+    // runner reported its own error rows; serve adds the message.
+    using Kind = sim::WorkerOutcome::Kind;
+    std::string cause = out.cause;
+    std::string message = "worker produced a torn result payload";
+    if (out.ok() && rows.size() >= 2 && rows[0] == "err") {
         cause = rows[1];
         message = rows.size() > 2 ? rows[2] : "";
-    } else if (!w.forcedCause.empty()) {
-        cause = w.forcedCause;
-        message = "request exceeded its wall-clock budget";
-    } else if (WIFSIGNALED(status)) {
-        cause = sweep::signalName(WTERMSIG(status));
-        message = "worker killed by " + cause +
-                  "; daemon unaffected";
-    } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-        cause = "exit-code " + std::to_string(WEXITSTATUS(status));
-        message = "worker exited abnormally";
-    } else {
+    } else if (out.ok()) {
         cause = "protocol-error";
-        message = "worker produced a torn result payload";
+    } else if (out.kind == Kind::kForced) {
+        message = "request exceeded its wall-clock budget";
+    } else if (out.kind == Kind::kSignal) {
+        message = "worker killed by " + cause + "; daemon unaffected";
+    } else if (out.kind == Kind::kException) {
+        message = "worker threw; daemon unaffected";
+    } else if (out.kind == Kind::kExitCode) {
+        message = "worker exited abnormally";
     }
     chargeCause(cause);
     failRequest(w.clientFd, w.id, cause, message);
@@ -738,18 +659,14 @@ void
 ServerImpl::checkWatchdogs()
 {
     const auto now = Clock::now();
+    const bool drainExpired = draining_ && now >= drainDeadline_;
     for (auto &[pipeFd, w] : workers_) {
-        const bool drainExpired =
-            draining_ && now >= drainDeadline_;
-        if (!w.forcedCause.empty() || w.cancelled)
-            continue;
-        if (w.hasDeadline && now >= w.deadline) {
-            w.forcedCause = "watchdog-timeout";
-            ::kill(w.pid, SIGKILL);
-        } else if (drainExpired) {
-            w.forcedCause = "drain-timeout";
-            ::kill(w.pid, SIGKILL);
-        }
+        if (!w.proc.forcedCause().empty())
+            continue;  // already killed (watchdog, drain, cancel)
+        if (now >= w.proc.deadline())
+            w.proc.kill("watchdog-timeout");
+        else if (drainExpired)
+            w.proc.kill("drain-timeout");
     }
 }
 
@@ -783,14 +700,19 @@ ServerImpl::startDrain(const std::string &reason)
 Clock::time_point
 ServerImpl::pollDeadline() const
 {
-    // Earliest timer the loop must act on: worker watchdogs and
-    // the drain budget. retryPollDeadline does the ms arithmetic
-    // (and EINTR-restart budget recomputation) from this.
+    // Earliest timer the loop must act on: armed worker watchdogs
+    // (kill() disarms one) and the drain budget until it has fired
+    // on every worker. Once it has, only pipe EOFs remain — an
+    // expired timer here would spin poll at zero timeout until the
+    // reap. retryPollDeadline does the ms arithmetic (and
+    // EINTR-restart budget recomputation) from this.
     Clock::time_point next = Clock::time_point::max();
-    for (const auto &[pipeFd, w] : workers_)
-        if (w.hasDeadline)
-            next = std::min(next, w.deadline);
-    if (draining_)
+    bool unkilled = false;
+    for (const auto &[pipeFd, w] : workers_) {
+        next = std::min(next, w.proc.deadline());
+        unkilled = unkilled || w.proc.forcedCause().empty();
+    }
+    if (draining_ && (unkilled || Clock::now() < drainDeadline_))
         next = std::min(next, drainDeadline_);
     return next;
 }

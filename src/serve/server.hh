@@ -12,7 +12,10 @@
  *  - **Crash containment**: a SIGSEGV/SIGABRT/OOM-kill inside one
  *    request kills only that request's worker; the client gets a
  *    structured error ("SIGSEGV", "exit-code N", ...) and the
- *    daemon keeps serving everyone else.
+ *    daemon keeps serving everyone else. Workers are forked,
+ *    killed, reaped and classified by sim/worker.hh, the same
+ *    primitive (and cause ladder) the sweep supervisor uses; a
+ *    failed spawn is "pipe-failed: EMFILE" / "fork-failed: EAGAIN".
  *  - **Bounded admission**: at most `queueDepth` requests wait
  *    beyond the `workers` in flight. Requests over the bound get
  *    an explicit `busy` reply with `retry_after_ms` — never a

@@ -22,9 +22,9 @@
  * idempotent to install. Deliveries are counted so loops can
  * escalate: the first signal requests a graceful wind-down, a
  * second one (interruptCount() >= 2) means the user is done
- * waiting and in-flight work should be killed. Forked workers must
- * restore SIG_DFL (see supervisor.cc / server.cc) so a Ctrl-C
- * against the process group kills them cleanly rather than
+ * waiting and in-flight work should be killed. Forked workers
+ * restore SIG_DFL (sim/worker.cc does it for every child) so a
+ * Ctrl-C against the process group kills them cleanly rather than
  * running the parent's handler against an inherited pipe.
  */
 

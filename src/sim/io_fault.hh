@@ -71,8 +71,8 @@ enum class Op : unsigned
     kFlush,   // xfflush
     kClose,   // xfclose
     kRename,  // xrename
-    kPipe,    // retryPipe2
-    kFork,    // retryFork
+    kPipe,    // the pipe2 wrapper
+    kFork,    // the fork wrapper
     kAccept,  // retryAccept4
     kPoll,    // retryPoll, retryPollDeadline (eintr only)
     kOpCount

@@ -1,8 +1,9 @@
 /**
  * @file
  * Blessed EINTR-retrying wrappers for the handful of blocking
- * POSIX calls the supervised runner (src/sim/supervisor.cc) and
- * the serve daemon (src/serve/) are built on.
+ * POSIX calls the fork-worker primitive (src/sim/worker.cc), the
+ * supervised runner (src/sim/supervisor.cc) and the serve daemon
+ * (src/serve/) are built on.
  *
  * Both of those are long-lived processes with signal handlers
  * installed (graceful-interrupt for sweeps, drain for the daemon),

@@ -12,26 +12,22 @@
  *  - each worker computes exactly one point, streams its encoded
  *    slots back over a pipe, and _exit()s — it never touches the
  *    parent's stdio buffers or the worker pool;
- *  - the supervisor enforces a per-point wall-clock watchdog
- *    (SIGKILL on expiry) and converts SIGSEGV/SIGABRT/any signal,
- *    nonzero exits, torn payloads, watchdog timeouts and
- *    in-worker exceptions into *structured per-point failures*;
+ *  - forking, the per-point wall-clock watchdog (SIGKILL on
+ *    expiry) and the wait-status-to-cause ladder live in
+ *    sim/worker.hh, shared with the serve daemon: SIGSEGV/SIGABRT/
+ *    any signal, nonzero exits, torn payloads, watchdog timeouts
+ *    and in-worker exceptions become *structured per-point
+ *    failures*; this file keeps only the sweep's policy;
  *  - every failure is retried up to a bounded attempt budget;
  *    points that exhaust it are reported, not fatal — surviving
  *    points render normally and the caller renders deterministic
- *    placeholders for the dead ones.
+ *    placeholders for the dead or hung ones, never data.
  *
  * Fault-free supervised runs produce byte-identical output to the
  * in-process engine for any job count: workers fill the same
  * per-point slot storage, and ordering is restored at render time
  * exactly as for the thread pool (tests/test_supervisor.cc holds
  * this for real figures).
- *
- * The watchdog uses std::chrono::steady_clock — a monotonic
- * duration source, not wall-calendar time — and none of it ever
- * influences simulated results: timing only decides *whether* a
- * worker is declared hung, and a hung worker yields a
- * deterministic placeholder, never data.
  *
  * Graceful interruption: when sim::installInterruptHandlers()
  * (src/sim/interrupt.hh) is active — the `melody sweep --isolate`
@@ -41,8 +37,8 @@
  * with the distinct cause "interrupted" (journaled + reported in
  * the failure table like any other cause), and retries of
  * already-failed points are refused. A second signal escalates:
- * in-flight workers are SIGKILLed and classify as "interrupted"
- * too — so a hung point cannot pin the wind-down forever even
+ * in-flight workers are killed with the forced cause
+ * "interrupted" too — so a hung point cannot pin the wind-down forever even
  * without a watchdog. The parent never dies mid-write: journal
  * lines stay whole and the failure table still prints.
  */
@@ -61,13 +57,6 @@
 namespace cxlsim::sweep {
 
 class Emit;
-
-/**
- * Human-readable name of a worker's terminating signal
- * ("SIGSEGV", "SIGABRT", ..., "signal N") — the structured-cause
- * vocabulary shared by the supervisor and the serve daemon.
- */
-std::string signalName(int sig);
 
 /** One point handed to the supervisor. */
 struct SupervisorTask
@@ -101,9 +90,10 @@ struct SupervisedFailure
 {
     std::size_t index = 0;
     unsigned attempts = 0;
-    /** Structured exit cause: "SIGSEGV", "SIGABRT", "signal N",
-     *  "exit-code N", "watchdog-timeout", "exception: ...",
-     *  "protocol-error". */
+    /** Structured cause from sim/worker.hh's ladder: "SIGSEGV",
+     *  "SIGABRT", "signal N", "exit-code N", "watchdog-timeout",
+     *  "interrupted", "exception: ...", "protocol-error",
+     *  "pipe-failed: <ERRNO>", "fork-failed: <ERRNO>". */
     std::string cause;
 };
 

@@ -207,8 +207,11 @@ class Sweep
             std::size_t point = 0;
             std::string key;
             unsigned attempts = 0;
-            /** Structured cause ("SIGSEGV", "watchdog-timeout",
-             *  "exit-code N", "exception: ...", ...). */
+            /** Structured cause from the fork-worker ladder
+             *  (sim/worker.hh): "SIGSEGV", "watchdog-timeout",
+             *  "interrupted", "exit-code N", "exception: ...",
+             *  "protocol-error", "pipe-failed: EMFILE",
+             *  "fork-failed: EAGAIN", ... */
             std::string cause;
         };
 

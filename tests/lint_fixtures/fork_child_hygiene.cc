@@ -41,4 +41,43 @@ spawnGood()
         exit(0);  // parent side: exit() is fine here
 }
 
+// A fork-worker spawn call's child body is a child region too:
+// a lambda, or a same-TU function passed by name.
+void
+spawnThroughWorker(ForkWorker &w, ForkWorker *p)
+{
+    fflush(stdout);  // parent side, before the fork: quiet
+    w.spawn(
+        [&] {
+            throw WorkerError("no");  // VIOLATION line 52
+            return childRows();
+        },
+        {}, 0);
+    p->spawn(workerBody, {}, 0);
+}
+
+std::vector<std::string>
+childRows()
+{
+    std::lock_guard<std::mutex> g(mu);  // VIOLATION line 62
+    return {};
+}
+
+std::vector<std::string>
+workerBody()
+{
+    exit(3);  // VIOLATION line 69
+}
+
+// The fault-injectable fork wrapper forks too, qualified or not.
+void
+spawnWrapped()
+{
+    const pid_t child = sim::retryFork();
+    if (child == 0) {
+        fflush(stderr);  // VIOLATION line 78
+        ::_exit(0);
+    }
+}
+
 }  // namespace fixture

@@ -171,6 +171,15 @@ TEST(LintServe, EintrRetryFiresInSupervisorPaths)
     EXPECT_EQ(diags.size(), 4u);
 }
 
+TEST(LintServe, EintrRetryFiresInWorkerPaths)
+{
+    // The fork-worker primitive owns the worker pipes and the reap
+    // for both the supervisor and the daemon.
+    const auto diags = lintSource("src/sim/worker.cc",
+                                  fixture("srv_eintr_retry.cc"));
+    EXPECT_EQ(diags.size(), 4u);
+}
+
 TEST(LintServe, EintrRetryFiresInCostModelPaths)
 {
     // The cost DB is written under the shared cache flock by both
@@ -293,20 +302,43 @@ TEST(LintForkChild, ChildRegionAndCallClosureFire)
               (Expected{{"fork-child-hygiene", 15},
                         {"fork-child-hygiene", 17},
                         {"fork-child-hygiene", 26},
-                        {"fork-child-hygiene", 28}}));
+                        {"fork-child-hygiene", 28},
+                        {"fork-child-hygiene", 52},
+                        {"fork-child-hygiene", 62},
+                        {"fork-child-hygiene", 69},
+                        {"fork-child-hygiene", 78}}));
 }
 
 TEST(LintForkChild, FiresInSupervisorScope)
 {
     const auto diags = lintSource("src/sim/supervisor.cc",
                                   fixture("fork_child_hygiene.cc"));
-    EXPECT_EQ(diags.size(), 4u);
+    EXPECT_EQ(diags.size(), 8u);
+}
+
+TEST(LintForkChild, FiresInWorkerScope)
+{
+    // The fork-worker primitive's own child block (it forks through
+    // sim::retryFork), and the child bodies (lambda or same-TU
+    // function) handed to spawn().
+    const auto diags = lintSource("src/sim/worker.cc",
+                                  fixture("fork_child_hygiene.cc"));
+    EXPECT_EQ(ruleLines(diags),
+              (Expected{{"fork-child-hygiene", 15},
+                        {"fork-child-hygiene", 17},
+                        {"fork-child-hygiene", 26},
+                        {"fork-child-hygiene", 28},
+                        {"fork-child-hygiene", 52},
+                        {"fork-child-hygiene", 62},
+                        {"fork-child-hygiene", 69},
+                        {"fork-child-hygiene", 78}}));
 }
 
 TEST(LintForkChild, QuietOutsideForkSites)
 {
-    // Only the two forking TUs (serve daemon, sweep supervisor)
-    // are in scope.
+    // Only the fork sites are in scope: the fork-worker primitive
+    // (sim/worker) and the two TUs that spawn through it (serve
+    // daemon, sweep supervisor).
     const auto diags = lintSource("src/cpu/fixture.cc",
                                   fixture("fork_child_hygiene.cc"));
     EXPECT_TRUE(diags.empty());

@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,11 +99,21 @@ syntheticRunner()
             return r;
         }
         if (job.figure == "segv") {
+#if defined(__SANITIZE_ADDRESS__)
+            // The ASan+UBSan build turns a null store into exit 1;
+            // deliver the SIGSEGV directly there.
+            std::signal(SIGSEGV, SIG_DFL);
+            std::raise(SIGSEGV);
+#endif
             volatile int *p = nullptr;
             *p = 42;
         }
         if (job.figure == "abort")
             std::abort();
+        if (job.figure == "throw")
+            throw std::runtime_error("runner boom");
+        if (job.figure == "exit")
+            ::_exit(7);
         if (job.figure == "hang")
             for (;;)
                 std::this_thread::sleep_for(
@@ -573,6 +584,55 @@ TEST(ServeDaemon, ContainsWorkerCrashesAndKeepsServing)
     ASSERT_NE(byCause, nullptr);
     EXPECT_EQ(byCause->getNumber("SIGSEGV"), 1.0);
     EXPECT_EQ(byCause->getNumber("SIGABRT"), 1.0);
+
+    // A runner that throws and one that exits early are contained
+    // the same way, each under the worker ladder's cause.
+    v = ask(cfg.socketPath, sweepPayload("throw"));
+    EXPECT_EQ(v.getString("status"), "error");
+    EXPECT_EQ(v.getString("cause"), "exception: runner boom");
+    EXPECT_NE(v.getString("message").find("daemon unaffected"),
+              std::string::npos);
+    v = ask(cfg.socketPath, sweepPayload("exit"));
+    EXPECT_EQ(v.getString("status"), "error");
+    EXPECT_EQ(v.getString("cause"), "exit-code 7");
+    v = ask(cfg.socketPath, sweepPayload("echo", "still"));
+    EXPECT_EQ(v.getString("output"), "echo:still");
+
+    const int status = stopServer(pid);
+    guard.pid = -1;
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(ServeDaemon, ForkFailureUsesTheSupervisorsCause)
+{
+    // The daemon's first fork fails (injected EAGAIN): that request
+    // alone gets the errno-named cause the sweep supervisor uses,
+    // and the next one is served normally.
+    const serve::ServerConfig cfg = baseConfig("serve-forkfail");
+    const pid_t pid = spawnServer(cfg, "fork:eagain@#1");
+    ASSERT_GT(pid, 0);
+    DaemonGuard guard{pid};
+
+    serve::JsonValue v = ask(cfg.socketPath, sweepPayload("echo", "a"));
+    EXPECT_EQ(v.getString("status"), "error");
+    EXPECT_EQ(v.getString("cause"), "fork-failed: EAGAIN");
+
+    std::string resp, err;
+    ASSERT_TRUE(serve::requestOnce(cfg.socketPath,
+                                   "{\"op\":\"stats\"}", 10000,
+                                   &resp, &err))
+        << err;
+    ASSERT_TRUE(serve::parseJson(resp, &v, &err)) << resp;
+    const serve::JsonValue *st = v.get("stats");
+    ASSERT_NE(st, nullptr);
+    const serve::JsonValue *byCause = st->get("failures_by_cause");
+    ASSERT_NE(byCause, nullptr);
+    EXPECT_EQ(byCause->getNumber("fork-failed: EAGAIN"), 1.0);
+
+    v = ask(cfg.socketPath, sweepPayload("echo", "b"));
+    EXPECT_EQ(v.getString("status"), "ok");
+    EXPECT_EQ(v.getString("output"), "echo:b");
 
     const int status = stopServer(pid);
     guard.pid = -1;

@@ -98,6 +98,12 @@ buildVictimSweep(sweep::Sweep &s, Victim mode,
         s.point("victim", 1, [mode, marker](sweep::Emit *slots) {
             switch (mode) {
               case Victim::kSegv: {
+#if defined(__SANITIZE_ADDRESS__)
+                  // The ASan+UBSan build turns a null store into
+                  // exit 1; deliver the SIGSEGV directly there.
+                  std::signal(SIGSEGV, SIG_DFL);
+                  std::raise(SIGSEGV);
+#endif
                   volatile int *p = nullptr;
                   *p = 42;
                   break;

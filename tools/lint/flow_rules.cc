@@ -183,18 +183,75 @@ blockRange(const FileStructure &fs, std::size_t open,
     return true;
 }
 
+/** `fork` or its fault-injectable wrapper `retryFork`
+ *  (sim/retry_io.hh). */
+bool
+isForkName(const Tokens &t, std::size_t i)
+{
+    return isIdent(t, i, "fork") || isIdent(t, i, "retryFork");
+}
+
+/**
+ * Append the child body passed as the first argument of the
+ * fork-worker spawn call whose '(' is token @p open
+ * (`w.spawn(<body>, ...)`, sim/worker.hh): a lambda's brace block,
+ * or every same-TU definition of a function passed by name.
+ */
+void
+spawnBodyRegions(const Tokens &t, const FileStructure &fs,
+                 std::size_t open,
+                 std::vector<std::pair<std::size_t, std::size_t>> *out)
+{
+    const std::size_t a = open + 1;
+    if (a < t.size() && t[a].kind == TokKind::kIdent &&
+        (isPunct(t, a + 1, ",") || isPunct(t, a + 1, ")"))) {
+        for (std::size_t fi : fs.functionsNamed(t[a].text))
+            out->emplace_back(fs.functions[fi].bodyBegin,
+                              fs.functions[fi].bodyEnd);
+        return;
+    }
+    if (!isPunct(t, a, "["))
+        return;
+    // Lambda: past the capture and parameter lists, the first
+    // top-level '{' opens its body; a top-level ',' or the call's
+    // ')' first means the argument was something else.
+    int depth = 0;
+    for (std::size_t k = a; k < t.size(); ++k) {
+        if (t[k].kind != TokKind::kPunct)
+            continue;
+        if (t[k].is("(") || t[k].is("[")) {
+            ++depth;
+        } else if (t[k].is(")") || t[k].is("]")) {
+            if (--depth < 0)
+                return;
+        } else if (depth == 0 && t[k].is(",")) {
+            return;
+        } else if (depth == 0 && t[k].is("{")) {
+            std::pair<std::size_t, std::size_t> r;
+            if (blockRange(fs, k, &r))
+                out->push_back(r);
+            return;
+        }
+    }
+}
+
 /** Collect `if (fork() == 0)` / `if (pid == 0)` then-blocks, where
- *  pid was assigned from fork() earlier in the TU. */
+ *  pid was assigned from fork() (or retryFork()) earlier in the TU,
+ *  and the child bodies handed to fork-worker spawn calls. */
 std::vector<std::pair<std::size_t, std::size_t>>
 forkChildRegions(const Tokens &t, const FileStructure &fs)
 {
     // Pass 1: variables assigned from fork().
     std::set<std::string> forkVars;
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (!isIdent(t, i, "fork") || !isPunct(t, i + 1, "("))
+        if (!isForkName(t, i) || !isPunct(t, i + 1, "("))
             continue;
-        // Walk left over `::` to the assigned/declared name.
+        // Walk left over `ns::` qualifiers to the assigned/declared
+        // name.
         std::size_t j = i;
+        while (j >= 2 && isPunct(t, j - 1, "::") &&
+               t[j - 2].kind == TokKind::kIdent)
+            j -= 2;
         if (j > 0 && isPunct(t, j - 1, "::"))
             --j;
         if (j > 0 && isPunct(t, j - 1, "=") && j >= 2 &&
@@ -214,7 +271,7 @@ forkChildRegions(const Tokens &t, const FileStructure &fs)
         for (std::size_t k = i + 2; k + 2 < close + 1 && !childTest;
              ++k) {
             // `fork() == 0` (possibly `::fork`).
-            if (isIdent(t, k, "fork") && isPunct(t, k + 1, "(") &&
+            if (isForkName(t, k) && isPunct(t, k + 1, "(") &&
                 isPunct(t, k + 2, ")") && isPunct(t, k + 3, "==") &&
                 k + 4 <= close && t[k + 4].is("0"))
                 childTest = true;
@@ -233,6 +290,12 @@ forkChildRegions(const Tokens &t, const FileStructure &fs)
         if (childTest && blockRange(fs, close + 1, &r))
             regions.push_back(r);
     }
+
+    // Pass 3: child bodies handed to `x.spawn(...)` / `x->spawn(...)`.
+    for (std::size_t i = 1; i + 1 < t.size(); ++i)
+        if (isIdent(t, i, "spawn") && isPunct(t, i + 1, "(") &&
+            (isPunct(t, i - 1, ".") || isPunct(t, i - 1, "->")))
+            spawnBodyRegions(t, fs, i + 1, &regions);
     return regions;
 }
 
@@ -242,16 +305,18 @@ forkChildRegions(const Tokens &t, const FileStructure &fs)
  * another thread may have held the malloc lock, a stdio buffer
  * lock, or a mutex at fork time, permanently. exit() additionally
  * runs atexit handlers and flushes inherited stdio buffers —
- * duplicating the parent's pending output. Scope: the two places
- * this project forks (the serve daemon and the sweep supervisor),
- * following same-TU calls out of the child block.
+ * duplicating the parent's pending output. Scope: the fork-worker
+ * primitive (sim/worker) and its two callers (the serve daemon and
+ * the sweep supervisor), whose child bodies are the lambdas or
+ * functions they pass to spawn(); same-TU calls out of every child
+ * region are followed.
  */
 void
 ruleForkChildHygieneImpl(const std::string &path, const Tokens &t,
                          const FileStructure &fs, Sink *sink)
 {
     if (!underDir(path, "src/serve/") &&
-        !pathHas(path, "sim/supervisor"))
+        !pathHas(path, "sim/supervisor") && !pathHas(path, "sim/worker"))
         return;
 
     const auto regions = forkChildRegions(t, fs);

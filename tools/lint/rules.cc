@@ -334,9 +334,9 @@ ruleDetStaticLocal(const std::string &path, const Tokens &t,
  * retry is the classic rare-flake: it works for months, then one
  * ^C lands mid-read and a clean drain becomes a torn payload. The
  * blessed home for the retry loops is src/sim/retry_io.hh; daemon,
- * supervisor, and cost-model code (whose DB the forked serve
- * workers also write under the cache flock) must call those
- * wrappers, never the raw syscall.
+ * supervisor, fork-worker (sim/worker) and cost-model code (whose
+ * DB the forked serve workers also write under the cache flock)
+ * must call those wrappers, never the raw syscall.
  */
 void
 ruleSrvEintrRetry(const std::string &path, const Tokens &t,
@@ -344,6 +344,7 @@ ruleSrvEintrRetry(const std::string &path, const Tokens &t,
 {
     const bool scoped = underDir(path, "src/serve/") ||
                         pathHas(path, "sim/supervisor") ||
+                        pathHas(path, "sim/worker") ||
                         pathHas(path, "sim/cost_model") ||
                         pathHas(path, "sim/io_fault");
     if (!scoped || pathHas(path, "sim/retry_io."))
