@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulator itself:
- * event-queue throughput, cache lookups, DRAM channel accesses,
- * CXL device round trips, and end-to-end workload simulation rate.
+ * cache lookups, DRAM channel accesses, CXL device round trips,
+ * and end-to-end workload simulation rate.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,29 +16,12 @@
 #include "cxl/device.hh"
 #include "cxl/device_profile.hh"
 #include "dram/channel.hh"
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/sweep.hh"
 #include "workloads/suite.hh"
 #include "workloads/synthetic_kernel.hh"
 
 using namespace cxlsim;
-
-static void
-BM_EventQueue(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue q;
-        int sink = 0;
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(static_cast<Tick>((i * 7919) % 100000),
-                       [&sink] { ++sink; });
-        q.run();
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueue);
 
 static void
 BM_CacheLookup(benchmark::State &state)

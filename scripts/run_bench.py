@@ -30,14 +30,9 @@ than Release/RelWithDebInfo aborts unless ``--allow-debug`` is given
 ``--suite`` additionally times the figure suite end to end through
 ``melody sweep`` and records the wall-clock numbers as ``run_type:
 "suite"`` entries in the same JSON; ``compare()`` ignores those, so
-they are a recorded metric, not a gated one. Four runs: serial
-cold-cache (which also seeds a cost DB with per-point timings),
-parallel cold-cache with FIFO dispatch and no cost model (the
-pre-scheduler behaviour), parallel cold-cache with LPT dispatch fed
-by the seeded cost DB, and parallel warm-cache. All four must emit
-byte-identical figure output. The LPT-vs-FIFO ratio is the
-straggler-scheduling win; it is only meaningful on hosts with enough CPUs to actually run points concurrently, so
-single-core recorders report the ratio without a verdict.
+they are a recorded metric, not a gated one. Three runs: serial
+cold-cache, parallel cold-cache and parallel warm-cache. All three
+must emit byte-identical figure output.
 """
 
 import argparse
@@ -117,23 +112,13 @@ def check_build_type(data, allow_debug):
     return False
 
 
-#: LPT cold-suite wall-clock must beat FIFO by this factor — only
-#: meaningful on hosts that can actually run points concurrently
-#: (reported, never enforced, below LPT_GATE_MIN_CPUS CPUs).
-LPT_SPEEDUP_FLOOR = 1.3
-LPT_GATE_MIN_CPUS = 2
-
-
-def run_suite(melody, jobs, cache_dir, figures, extra=()):
+def run_suite(melody, jobs, cache_dir, figures):
     """One timed `melody sweep` run; returns (seconds, stdout)."""
     env = dict(os.environ)
     env["MELODY_SWEEP_CACHE_DIR"] = cache_dir
     env.pop("MELODY_SWEEP_JOBS", None)
     env.pop("MELODY_SWEEP_CACHE", None)
-    env.pop("MELODY_SWEEP_SCHED", None)
-    env.pop("MELODY_SWEEP_COSTDB", None)
-    cmd = ([melody, "sweep", "--jobs", str(jobs)] + list(extra) +
-           figures)
+    cmd = [melody, "sweep", "--jobs", str(jobs)] + figures
     print(f"running: {' '.join(cmd)}", file=sys.stderr)
     start = time.monotonic()
     proc = subprocess.run(cmd, stdout=subprocess.PIPE,
@@ -143,36 +128,26 @@ def run_suite(melody, jobs, cache_dir, figures, extra=()):
 
 
 def suite_entries(melody, jobs, figures):
-    """Time the figure suite four ways; return JSON entries.
+    """Time the figure suite three ways; return JSON entries.
 
-    serial_cold seeds a cost DB with measured per-point times;
-    jobs{N}_cold_fifo is the pre-scheduler dispatch (no cost model),
-    jobs{N}_cold_lpt dispatches longest-predicted-first off the
-    seeded DB, and jobs{N}_warm replays the warm cache. All runs
+    serial_cold and jobs{N}_cold render from empty caches;
+    jobs{N}_warm replays the cache jobs{N}_cold filled. All runs
     must emit byte-identical figure output — the engine's core
     guarantee — so any drift fails loudly here too.
     """
     tmp = tempfile.mkdtemp(prefix="melody-suite-")
-    db = os.path.join(tmp, "costdb.tsv")
     try:
         serial_s, serial_out = run_suite(
-            melody, 1, os.path.join(tmp, "serial"), figures,
-            ["--cost-db", db])
-        fifo_s, fifo_out = run_suite(
-            melody, jobs, os.path.join(tmp, "fifo"), figures,
-            ["--sched", "fifo", "--no-cost-db"])
-        lpt_s, lpt_out = run_suite(
-            melody, jobs, os.path.join(tmp, "lpt"), figures,
-            ["--sched", "lpt", "--cost-db", db])
+            melody, 1, os.path.join(tmp, "serial"), figures)
+        cold_s, cold_out = run_suite(
+            melody, jobs, os.path.join(tmp, "par"), figures)
         warm_s, warm_out = run_suite(
-            melody, jobs, os.path.join(tmp, "lpt"), figures,
-            ["--sched", "lpt", "--cost-db", db])
+            melody, jobs, os.path.join(tmp, "par"), figures)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    if (fifo_out != serial_out or lpt_out != serial_out or
-            warm_out != serial_out):
-        print("suite output mismatch between serial/fifo/lpt/"
-              "warm runs — determinism bug, not recording.",
+    if cold_out != serial_out or warm_out != serial_out:
+        print("suite output mismatch between serial/cold/warm "
+              "runs — determinism bug, not recording.",
               file=sys.stderr)
         raise SystemExit(1)
 
@@ -189,28 +164,13 @@ def suite_entries(melody, jobs, figures):
 
     entries = [
         entry("suite/serial_cold", serial_s, 1),
-        entry(f"suite/jobs{jobs}_cold_fifo", fifo_s, jobs),
-        entry(f"suite/jobs{jobs}_cold_lpt", lpt_s, jobs),
+        entry(f"suite/jobs{jobs}_cold", cold_s, jobs),
         entry(f"suite/jobs{jobs}_warm", warm_s, jobs),
     ]
-    par = serial_s / lpt_s if lpt_s > 0 else float("inf")
-    lpt = fifo_s / lpt_s if lpt_s > 0 else float("inf")
+    par = serial_s / cold_s if cold_s > 0 else float("inf")
     print(f"suite wall-clock: serial cold {serial_s:.1f}s, "
-          f"jobs={jobs} cold fifo {fifo_s:.1f}s, "
-          f"cold lpt {lpt_s:.1f}s, warm {warm_s:.1f}s "
+          f"jobs={jobs} cold {cold_s:.1f}s, warm {warm_s:.1f}s "
           f"({par:.1f}x vs serial cold)", file=sys.stderr)
-    ncpu = os.cpu_count() or 1
-    if ncpu < LPT_GATE_MIN_CPUS:
-        print(f"lpt gate: lpt-vs-fifo {lpt:.2f}x (floor "
-              f"{LPT_SPEEDUP_FLOOR:.1f}x not applicable: host has "
-              f"{ncpu} CPU(s), stragglers cannot overlap)",
-              file=sys.stderr)
-    else:
-        verdict = ("ok" if lpt >= LPT_SPEEDUP_FLOOR
-                   else "below floor")
-        print(f"lpt gate: lpt-vs-fifo {lpt:.2f}x (floor "
-              f"{LPT_SPEEDUP_FLOOR:.1f}x): {verdict}",
-              file=sys.stderr)
     return entries
 
 
@@ -284,8 +244,8 @@ def main():
                          "(numbers will not be comparable)")
     ap.add_argument("--suite", action="store_true",
                     help="also time the figure suite via "
-                         "'melody sweep' (serial cold, fifo cold, "
-                         "lpt cold, warm) and record "
+                         "'melody sweep' (serial cold, parallel "
+                         "cold, parallel warm) and record "
                          "run_type='suite' entries")
     ap.add_argument("--melody", default=DEFAULT_MELODY,
                     help="melody binary for --suite "

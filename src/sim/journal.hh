@@ -39,7 +39,6 @@
 #define CXLSIM_SIM_JOURNAL_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -84,11 +83,8 @@ class Journal
     void queued(const std::string &hash, std::size_t point,
                 const std::string &key);
     void started(const std::string &hash, unsigned attempt);
-    /** @p elapsedUs is the attempt's wall-clock (0 = unmeasured);
-     *  it feeds the scheduling cost model on --resume. */
     void finished(const std::string &hash, unsigned attempt,
-                  const std::vector<std::string> &slots,
-                  std::uint64_t elapsedUs = 0);
+                  const std::vector<std::string> &slots);
     void failed(const std::string &hash, unsigned attempt,
                 const std::string &cause, bool final);
 
@@ -97,17 +93,14 @@ class Journal
      * with hash -> decoded slots for every `finished` record
      * (last one wins). Returns false with a message in @p err when
      * the file is unreadable, has no header, or was written under
-     * a different @p salt. Torn or foreign lines are skipped.
-     * When @p elapsedUs is non-null it receives each completion's
-     * journaled wall-clock (entries without one are omitted), so a
-     * resumed run can seed the cost model with the crashed run's
-     * measurements.
+     * a different @p salt. Torn or foreign lines are skipped, and
+     * so are fields this reader does not know (older journals
+     * carried an `elapsed_us` per `finished` record).
      */
     static bool load(
         const std::string &path, const std::string &salt,
         std::map<std::string, std::vector<std::string>> *done,
-        std::string *err,
-        std::map<std::string, std::uint64_t> *elapsedUs = nullptr);
+        std::string *err);
 
   private:
     void append(const std::string &line);

@@ -190,18 +190,4 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
     WorkerPool::instance().run(n, fn, threads, grain);
 }
 
-void
-parallelForOrder(const std::vector<std::size_t> &order,
-                 const std::function<void(std::size_t)> &fn,
-                 unsigned threads)
-{
-    // Grain is pinned to 1: a permuted dispatch order exists to
-    // schedule *individually expensive* points, where claiming
-    // several per cursor bump would re-create the static-chunk
-    // straggler problem the permutation is solving.
-    parallelFor(
-        order.size(),
-        [&](std::size_t t) { fn(order[t]); }, threads, 1);
-}
-
 }  // namespace cxlsim

@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace cxlsim {
 
@@ -40,26 +39,6 @@ namespace cxlsim {
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &fn,
                  unsigned threads = 0, std::size_t grain = 1);
-
-/**
- * parallelFor through an explicit dispatch permutation: workers
- * claim tickets t = 0, 1, ... off the shared atomic cursor exactly
- * as parallelFor does, but execute fn(order[t]). This is how the
- * sweep engine turns a scheduling *policy* (e.g. longest-
- * predicted-first over the cost model, sim/cost_model.hh) into a
- * dispatch order while keeping the dynamic self-balancing
- * property: whichever worker frees up first takes the next-listed
- * index, so a mispredicted straggler delays one worker, never a
- * statically-assigned chunk. Results must still be written by
- * index into pre-sized storage — the permutation changes *when*
- * an index runs, never what it may touch.
- *
- * @p order must be a permutation of [0, order.size()); each listed
- * index is claimed exactly once.
- */
-void parallelForOrder(const std::vector<std::size_t> &order,
-                      const std::function<void(std::size_t)> &fn,
-                      unsigned threads = 0);
 
 }  // namespace cxlsim
 

@@ -10,7 +10,6 @@
 #include <system_error>
 #include <utility>
 
-#include "sim/cost_model.hh"
 #include "sim/io_fault.hh"
 #include "sim/logging.hh"
 #include "stats/rows.hh"
@@ -203,8 +202,7 @@ RunCache::scanDir(const std::string &dir)
         if (!entry.is_regular_file(ec))
             continue;
         const std::string path = entry.path().string();
-        if (entry.path().filename() == kLockName ||
-            entry.path().filename() == kCostDbFileName)
+        if (entry.path().filename() == kLockName)
             continue;  // infrastructure, not an entry and not foreign
         if (entry.path().extension() != ".rcache") {
             ++ds.foreign;
@@ -261,13 +259,6 @@ RunCache::clearDir(const std::string &dir)
                 continue;
             if (entry.path().filename() == kLockName)
                 continue;
-            // The cost DB times the entries being cleared: remove
-            // it too (uncounted — it is infrastructure, not an
-            // entry; the next cold run just re-measures).
-            if (entry.path().filename() == kCostDbFileName) {
-                fs::remove(entry.path(), ec);
-                continue;
-            }
             const auto ext = entry.path().extension();
             if (ext != ".rcache" && ext != ".tmp")
                 continue;

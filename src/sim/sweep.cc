@@ -1,16 +1,11 @@
 #include "sweep.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <map>
-#include <mutex>
-#include <thread>
 #include <utility>
 
-#include "sim/cost_model.hh"
 #include "sim/journal.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
@@ -19,82 +14,6 @@
 #include "stats/rows.hh"
 
 namespace cxlsim::sweep {
-
-/**
- * --progress status line: "\r"-refreshed on stderr only, so stdout
- * stays byte-clean for redirection and the byte-compare harnesses.
- * Redraws are rate-limited to one per 500 ms (plus the final
- * state), per the flag's contract of at most two updates a second.
- * The ETA comes from the cost model's remaining predicted work
- * divided by the job count; with no predictions it reads "--".
- * Timing here is steady_clock (a monotonic duration source) and
- * never feeds simulation — it only decides when to repaint.
- */
-class ProgressMeter
-{
-  public:
-    ProgressMeter(std::size_t total, std::size_t done,
-                  double remainingPredUs, unsigned jobs)
-        : total_(total), done_(done),
-          remainingUs_(remainingPredUs), jobs_(jobs ? jobs : 1)
-    {
-        last_ = Clock::now();
-        draw();
-    }
-
-    /** One point resolved; @p predictedUs was its forecast (0 when
-     *  unknown). Called from pool workers — mutex-serialized. */
-    void
-    tick(double predictedUs)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++done_;
-        remainingUs_ = std::max(0.0, remainingUs_ - predictedUs);
-        const Clock::time_point now = Clock::now();
-        if (done_ != total_ &&
-            now - last_ < std::chrono::milliseconds(500))
-            return;
-        last_ = now;
-        draw();
-    }
-
-    /** Terminate the status line so later stderr output starts
-     *  clean. */
-    void
-    finish()
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        draw();
-        std::fputc('\n', stderr);
-        std::fflush(stderr);
-    }
-
-  private:
-    using Clock = std::chrono::steady_clock;
-
-    void
-    draw()
-    {
-        char eta[32];
-        if (done_ < total_ && remainingUs_ > 0.0)
-            std::snprintf(eta, sizeof(eta), "ETA %.0fs",
-                          remainingUs_ / jobs_ / 1e6);
-        else
-            std::snprintf(eta, sizeof(eta), "ETA --");
-        // lint:allow(err-stray-stream: opt-in progress meter IS a stderr status line; stdout stays byte-clean)
-        std::fprintf(stderr,
-                     "\r[melody] sweep: %zu/%zu points, %s   ",
-                     done_, total_, eta);
-        std::fflush(stderr);
-    }
-
-    std::mutex mu_;
-    std::size_t total_;
-    std::size_t done_;
-    double remainingUs_;
-    unsigned jobs_;
-    Clock::time_point last_;
-};
 
 // -----------------------------------------------------------------
 // Emit
@@ -178,26 +97,6 @@ optionsFromEnv()
             std::getenv("MELODY_SWEEP_CHECK_INVARIANTS"))
         o.checkInvariants = !(std::strcmp(inv, "0") == 0 ||
                               std::strcmp(inv, "off") == 0);
-    if (const char *sched = std::getenv("MELODY_SWEEP_SCHED")) {
-        if (std::strcmp(sched, "fifo") == 0)
-            o.sched = Sched::kFifo;
-        else if (std::strcmp(sched, "lpt") == 0)
-            o.sched = Sched::kLpt;
-        else
-            throw ConfigError(
-                "MELODY_SWEEP_SCHED must be 'fifo' or 'lpt', "
-                "got '" +
-                std::string(sched) + "'");
-    }
-    // "0"/"off" disables the cost DB entirely; any other value is
-    // an explicit DB path (empty keeps the default placement).
-    if (const char *db = std::getenv("MELODY_SWEEP_COSTDB")) {
-        if (std::strcmp(db, "0") == 0 ||
-            std::strcmp(db, "off") == 0)
-            o.costDb = false;
-        else
-            o.costDbPath = db;
-    }
     return o;
 }
 
@@ -232,28 +131,6 @@ struct Sweep::Gather
 {
     std::vector<SlotRef> inputs;
     GatherFn fn;
-};
-
-struct Sweep::SchedCtx
-{
-    /**
-     * Dispatch permutation over the *pending* vector (positions,
-     * not point ids): workers claim pending[order[t]] for ticket t.
-     * Identity = FIFO; lptOrder() output = longest-predicted-first.
-     * Purely a scheduling hint — results land by point index and
-     * render in declaration order regardless.
-     */
-    std::vector<std::size_t> order;
-    /** Salted point hash per pending position (cost-DB key);
-     *  empty when no cost model is active. */
-    std::vector<std::string> hashes;
-    /** Prediction per pending position (µs; 0 = unknown); empty
-     *  when no cost model is active. */
-    std::vector<double> predictedUs;
-    /** Cost model to record observations into; may be null. */
-    CostModel *cm = nullptr;
-    /** --progress meter; null when disabled. */
-    ProgressMeter *progress = nullptr;
 };
 
 Sweep::Sweep(std::string name, Options opts)
@@ -373,39 +250,17 @@ Sweep::compute(Report *report)
     };
     const bool isolate = opts_.isolate || opts_.resume;
 
-    // Cost model: strictly a dispatch hint (see cost_model.hh).
-    // Default location is inside the cache directory; an explicit
-    // path also works with the cache off (byte-equality harnesses
-    // seed adversarial DBs that way). Every load failure mode
-    // degrades to zero predictions, i.e. FIFO dispatch.
-    std::unique_ptr<CostModel> cm;
-    if (opts_.costDb) {
-        std::string cmPath = opts_.costDbPath;
-        if (cmPath.empty() && opts_.cache)
-            cmPath = opts_.cacheDir + "/" + kCostDbFileName;
-        if (!cmPath.empty()) {
-            cm = std::make_unique<CostModel>(cmPath, salt);
-            cm->load();
-        }
-    }
-
     // Phase 0: load journaled completions (resume mode). A salt or
-    // format mismatch is a user-facing configuration error. The
-    // journaled per-point wall-clocks seed the cost model so a
-    // crashed run's measurements still reach the DB.
+    // format mismatch is a user-facing configuration error.
     std::map<std::string, std::vector<std::string>> journaled;
     if (opts_.resume) {
         if (opts_.journalPath.empty())
             throw ConfigError(
                 "sweep resume requires a journal path");
         std::string err;
-        std::map<std::string, std::uint64_t> journalElapsed;
         if (!Journal::load(opts_.journalPath, salt, &journaled,
-                           &err, cm ? &journalElapsed : nullptr))
+                           &err))
             throw ConfigError(err);
-        if (cm)
-            for (const auto &[hash, us] : journalElapsed)
-                cm->record(hash, static_cast<double>(us));
     }
 
     // Phase 1: satisfy points from the journal, then the cache,
@@ -431,56 +286,16 @@ Sweep::compute(Report *report)
         pending.push_back(i);
     }
 
-    // Scheduling context: hashes + predictions per pending
-    // position, the dispatch permutation, and the progress meter.
-    SchedCtx sched;
-    sched.cm = cm.get();
-    sched.order.resize(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i)
-        sched.order[i] = i;
-    double remainingPredUs = 0.0;
-    if (cm) {
-        sched.hashes.reserve(pending.size());
-        sched.predictedUs.reserve(pending.size());
-        for (const std::size_t idx : pending) {
-            sched.hashes.push_back(hashOf(points_[idx].key));
-            sched.predictedUs.push_back(
-                cm->predictUs(sched.hashes.back()));
-            remainingPredUs += sched.predictedUs.back();
-        }
-        if (opts_.sched == Sched::kLpt)
-            sched.order = lptOrder(sched.predictedUs);
-    }
-
-    std::unique_ptr<ProgressMeter> progress;
-    if (opts_.progress) {
-        unsigned jobsEff = opts_.jobs
-                               ? opts_.jobs
-                               : std::thread::hardware_concurrency();
-        jobsEff = std::max(
-            1u, std::min<unsigned>(
-                    jobsEff,
-                    static_cast<unsigned>(std::max<std::size_t>(
-                        pending.size(), 1))));
-        progress = std::make_unique<ProgressMeter>(
-            points_.size(), points_.size() - pending.size(),
-            remainingPredUs, jobsEff);
-        sched.progress = progress.get();
-    }
-
     // Phase 2: compute the misses — supervised subprocesses under
     // isolation, otherwise the in-process worker pool.
     if (isolate)
-        computeIsolated(pending, salt, hashOf, &sched, report);
+        computeIsolated(pending, salt, hashOf, report);
     else
-        computeInProcess(pending, &sched, report);
-    if (progress)
-        progress->finish();
+        computeInProcess(pending, report);
 
     // Phase 3: persist fresh results (isolated successes were
     // stored the moment each worker reported back, so a later
-    // crash cannot lose them). The cost model persists alongside:
-    // a save failure is silent by contract — a hint, not data.
+    // crash cannot lose them).
     if (cache_) {
         if (!isolate)
             for (const std::size_t idx : pending)
@@ -491,28 +306,24 @@ Sweep::compute(Report *report)
         report->corruptEntries = cache_->stats().corrupt;
         report->cacheDegraded = cache_->degraded();
     }
-    if (cm)
-        cm->save();
 }
 
 void
 Sweep::computeInProcess(const std::vector<std::size_t> &pending,
-                        SchedCtx *sched, Report *report)
+                        Report *report)
 {
-    // Fan out over the worker pool, dispatching in sched->order
-    // (LPT when the cost model has predictions, FIFO otherwise).
-    // Each closure writes only into its own pre-sized slot storage,
-    // so scheduling order cannot affect the rendered bytes. A
-    // throwing closure is captured and re-thrown from the lowest
-    // point index so the failure is deterministic too.
+    // Fan out over the worker pool in declaration order. Each
+    // closure writes only into its own pre-sized slot storage, so
+    // scheduling cannot affect the rendered bytes. A throwing
+    // closure is captured and re-thrown from the lowest point
+    // index so the failure is deterministic too.
     std::vector<std::exception_ptr> errors(pending.size());
     std::vector<sim::Invariants> invs(
         opts_.checkInvariants ? pending.size() : 0);
-    parallelForOrder(
-        sched->order,
+    parallelFor(
+        pending.size(),
         [&](std::size_t i) {
             Point &p = points_[pending[i]];
-            const auto t0 = std::chrono::steady_clock::now();
             std::vector<Emit> slots(p.nSlots);
             try {
                 sim::InvariantScope scope(
@@ -520,27 +331,11 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
                 p.fn(slots.data());
             } catch (...) {
                 errors[i] = std::current_exception();
-                if (sched->progress)
-                    sched->progress->tick(
-                        sched->predictedUs.empty()
-                            ? 0.0
-                            : sched->predictedUs[i]);
                 return;
-            }
-            if (sched->cm) {
-                const double us =
-                    std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-                sched->cm->record(sched->hashes[i], us);
             }
             p.slots.reserve(p.nSlots);
             for (auto &s : slots)
                 p.slots.push_back(s.take());
-            if (sched->progress)
-                sched->progress->tick(sched->predictedUs.empty()
-                                          ? 0.0
-                                          : sched->predictedUs[i]);
         },
         opts_.jobs);
     for (const auto &err : errors)
@@ -558,28 +353,20 @@ Sweep::computeIsolated(
     const std::vector<std::size_t> &pending,
     const std::string &salt,
     const std::function<std::string(const std::string &)> &hashOf,
-    SchedCtx *sched, Report *report)
+    Report *report)
 {
     Journal journal;
     if (!opts_.journalPath.empty()) {
         journal.open(opts_.journalPath, opts_.resume);
         journal.begin(name_, salt, opts_.resume);
     }
-    for (const std::size_t idx : pending)
-        journal.queued(hashOf(points_[idx].key), idx,
-                       points_[idx].key);
-
-    // Hand the tasks to the supervisor in dispatch order (LPT when
-    // the cost model predicts, FIFO otherwise); task.index keeps
-    // the original point id, so journaling, storage and render
-    // order are untouched by the permutation. posOf maps a point id
-    // back to its pending position for prediction lookups.
+    // task.index keeps the point id, so journaling, storage and
+    // render order follow declaration order.
     std::vector<SupervisorTask> tasks;
     tasks.reserve(pending.size());
-    std::map<std::size_t, std::size_t> posOf;
-    for (const std::size_t pos : sched->order) {
-        const std::size_t idx = pending[pos];
-        posOf[idx] = pos;
+    for (const std::size_t idx : pending) {
+        journal.queued(hashOf(points_[idx].key), idx,
+                       points_[idx].key);
         tasks.push_back({idx, points_[idx].key,
                          points_[idx].nSlots, &points_[idx].fn});
     }
@@ -596,23 +383,8 @@ Sweep::computeIsolated(
     std::map<std::size_t, std::vector<sim::InvariantViolation>>
         diags;
 
-    // Per-point attempt start times (steady_clock): the elapsed
-    // wall-clock of each *successful* attempt feeds the cost model
-    // and the journal. Callbacks run on the single supervisor
-    // thread, so no locking is needed here.
-    std::map<std::size_t, std::chrono::steady_clock::time_point>
-        startAt;
-    const auto predictionOf = [&](std::size_t idx) {
-        if (sched->predictedUs.empty())
-            return 0.0;
-        const auto it = posOf.find(idx);
-        return it == posOf.end() ? 0.0
-                                 : sched->predictedUs[it->second];
-    };
-
     SupervisorCallbacks cb;
     cb.onStart = [&](std::size_t idx, unsigned attempt) {
-        startAt[idx] = std::chrono::steady_clock::now();
         journal.started(hashOf(points_[idx].key), attempt);
     };
     cb.onSuccess = [&](std::size_t idx, unsigned attempt,
@@ -623,21 +395,9 @@ Sweep::computeIsolated(
         p.slots = std::move(slots);
         if (cache_)
             cache_->store(p.key, p.slots);
-        double elapsedUs = 0.0;
-        const auto t0 = startAt.find(idx);
-        if (t0 != startAt.end())
-            elapsedUs =
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - t0->second)
-                    .count();
-        if (sched->cm && elapsedUs > 0.0)
-            sched->cm->record(hashOf(p.key), elapsedUs);
-        journal.finished(hashOf(p.key), attempt, p.slots,
-                         static_cast<std::uint64_t>(elapsedUs));
+        journal.finished(hashOf(p.key), attempt, p.slots);
         if (!violations.empty())
             diags[idx] = std::move(violations);
-        if (sched->progress)
-            sched->progress->tick(predictionOf(idx));
     };
     cb.onFailure = [&](std::size_t idx, unsigned attempt,
                        const std::string &cause, bool final) {
@@ -648,8 +408,6 @@ Sweep::computeIsolated(
             p.failed = true;
             p.attempts = attempt;
             p.cause = cause;
-            if (sched->progress)
-                sched->progress->tick(predictionOf(idx));
         }
     };
 

@@ -107,17 +107,6 @@ class Emit
 /** Decode an Emit::hexDoubles slot (whitespace-separated floats). */
 std::vector<double> parseHexDoubles(std::string_view s);
 
-/** Point dispatch order (DESIGN.md §14). Render order is always
- *  declaration order, so the schedule can never change a byte. */
-enum class Sched
-{
-    /** Declaration order — the pre-cost-model behaviour. */
-    kFifo,
-    /** Longest-predicted-first off the cost DB, declaration-order
-     *  tiebreak. Degrades to kFifo when no predictions exist. */
-    kLpt,
-};
-
 /** Execution knobs, normally taken from the environment/CLI. */
 struct Options
 {
@@ -153,32 +142,14 @@ struct Options
      * around every point. Default-on in Debug builds.
      */
     bool checkInvariants = sim::invariantsDefaultOn();
-    /** Point dispatch policy. */
-    Sched sched = Sched::kLpt;
-    /**
-     * Cost-DB file feeding LPT dispatch (sim/cost_model.hh);
-     * empty means "<cacheDir>/costdb.tsv" when the cache is
-     * enabled and no cost model at all when it is not. An
-     * explicit path works with --no-cache too (how the byte-
-     * equality harnesses seed adversarial DBs).
-     */
-    std::string costDbPath;
-    /** Master switch for loading/recording point costs. */
-    bool costDb = true;
-    /**
-     * One stderr status line (done/total points, cost-model ETA)
-     * refreshed at most twice a second. stdout stays byte-clean.
-     */
-    bool progress = false;
 };
 
 /**
  * Options with MELODY_SWEEP_JOBS / MELODY_SWEEP_CACHE (0|1) /
  * MELODY_SWEEP_CACHE_DIR / MELODY_SWEEP_ISOLATE (0|1) /
- * MELODY_SWEEP_CHECK_INVARIANTS (0|1) / MELODY_SWEEP_SCHED
- * (fifo|lpt) / MELODY_SWEEP_COSTDB (0|off disables; else a DB
- * path) applied over the defaults — how the standalone bench
- * binaries pick up configuration without flags.
+ * MELODY_SWEEP_CHECK_INVARIANTS (0|1) applied over the defaults —
+ * how the standalone bench binaries pick up configuration without
+ * flags.
  */
 Options optionsFromEnv();
 
@@ -314,20 +285,16 @@ class Sweep
     struct Item;
     struct Point;
     struct Gather;
-    /** Scheduling state shared by both compute paths (dispatch
-     *  order, point hashes, cost model, progress meter); built in
-     *  compute(), defined in sweep.cc. */
-    struct SchedCtx;
 
     void compute(Report *report);
     void computeInProcess(const std::vector<std::size_t> &pending,
-                          SchedCtx *sched, Report *report);
+                          Report *report);
     void computeIsolated(
         const std::vector<std::size_t> &pending,
         const std::string &salt,
         const std::function<std::string(const std::string &)>
             &hashOf,
-        SchedCtx *sched, Report *report);
+        Report *report);
     void render(std::FILE *out, std::string *str);
 
     std::string name_;

@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/cost_model.hh"
 #include "sim/io_fault.hh"
 #include "sim/journal.hh"
 #include "sim/logging.hh"
@@ -360,49 +359,6 @@ TEST_F(IoFaultTest, RunCacheShortReadIsACleanRecomputableMiss)
 }
 
 // ---------------------------------------------------------------
-// Cost model: provably degrades to FIFO.
-// ---------------------------------------------------------------
-
-TEST_F(IoFaultTest, CostModelSaveFailureLeavesNoLitterAndFifo)
-{
-    const std::string db = path("costdb.tsv");
-    {
-        sweep::CostModel cm(db, "salt1");
-        cm.record("aaaa", 1000.0);
-        cm.record("bbbb", 2000.0);
-        iof::install("write:enospc@#1+");
-        cm.save();  // silent by contract
-    }
-    iof::reset();
-    EXPECT_FALSE(fs::exists(db));
-    EXPECT_EQ(countFiles(".tmp"), 0u);
-
-    // No DB ⇒ no predictions ⇒ lptOrder degrades to declaration
-    // order (FIFO).
-    sweep::CostModel cm2(db, "salt1");
-    EXPECT_FALSE(cm2.load());
-    EXPECT_EQ(cm2.entries(), 0u);
-    const std::vector<double> none(4, 0.0);
-    EXPECT_EQ(sweep::lptOrder(none),
-              (std::vector<std::size_t>{0, 1, 2, 3}));
-}
-
-TEST_F(IoFaultTest, CostModelReadFaultDegradesToFifo)
-{
-    const std::string db = path("costdb.tsv");
-    {
-        sweep::CostModel cm(db, "salt1");
-        cm.record("aaaa", 1000.0);
-        cm.save();
-    }
-    ASSERT_TRUE(fs::exists(db));
-    iof::install("open:emfile@#1+");
-    sweep::CostModel cm(db, "salt1");
-    EXPECT_FALSE(cm.load());
-    EXPECT_EQ(cm.entries(), 0u);
-}
-
-// ---------------------------------------------------------------
 // Journal write failure + resume from the surviving prefix.
 // ---------------------------------------------------------------
 
@@ -447,7 +403,6 @@ TEST_F(IoFaultTest, ResumeCompletesFromSurvivingJournalPrefix)
     sweep::Options opts;
     opts.jobs = 1;
     opts.cache = false;
-    opts.costDb = false;
     opts.isolate = true;
     opts.maxAttempts = 1;
     opts.journalPath = path("j.jsonl");
@@ -494,7 +449,6 @@ TEST_F(IoFaultTest, SupervisorRetriesInjectedPipeExhaustion)
     sweep::Options opts;
     opts.jobs = 1;
     opts.cache = false;
-    opts.costDb = false;
     opts.isolate = true;
     opts.maxAttempts = 2;
 
@@ -514,7 +468,6 @@ TEST_F(IoFaultTest, SupervisorNamesTheErrnoInExhaustionCauses)
     sweep::Options opts;
     opts.jobs = 1;
     opts.cache = false;
-    opts.costDb = false;
     opts.isolate = true;
     opts.maxAttempts = 1;  // no retry: the failure surfaces
 

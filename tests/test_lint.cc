@@ -94,17 +94,6 @@ TEST(LintDeterminism, UnorderedIterFiresInSweepEnginePaths)
               (Expected{{"det-unordered-iter", 15}}));
 }
 
-TEST(LintDeterminism, UnorderedIterFiresInCostModelPaths)
-{
-    // The cost model orders sweep dispatch; an unordered iteration
-    // there would scramble the LPT tiebreak across libstdc++
-    // versions even though rendered bytes stay safe.
-    const auto diags = lintSource(
-        "src/sim/cost_model.cc", fixture("det_unordered_iter.cc"));
-    EXPECT_EQ(ruleLines(diags),
-              (Expected{{"det-unordered-iter", 15}}));
-}
-
 TEST(LintDeterminism, UnorderedIterFiresInFigureDriverPaths)
 {
     // Spa reports, the figure drivers and the CLI all print bytes
@@ -176,16 +165,6 @@ TEST(LintServe, EintrRetryFiresInWorkerPaths)
     // The fork-worker primitive owns the worker pipes and the reap
     // for both the supervisor and the daemon.
     const auto diags = lintSource("src/sim/worker.cc",
-                                  fixture("srv_eintr_retry.cc"));
-    EXPECT_EQ(diags.size(), 4u);
-}
-
-TEST(LintServe, EintrRetryFiresInCostModelPaths)
-{
-    // The cost DB is written under the shared cache flock by both
-    // the sweep engine and forked serve workers, so its IO follows
-    // the same retry discipline as the daemon's.
-    const auto diags = lintSource("src/sim/cost_model.cc",
                                   fixture("srv_eintr_retry.cc"));
     EXPECT_EQ(diags.size(), 4u);
 }

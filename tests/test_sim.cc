@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the simulation kernel: event queue, earliest-first
+ * Unit tests for the simulation kernel: tick types, earliest-first
  * scheduler and RNG.
  */
 
@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "sim/earliest.hh"
-#include "sim/event_queue.hh"
-#include "sim/inline_function.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -34,142 +32,6 @@ TEST(Types, LineAlign)
     EXPECT_EQ(lineAlign(63), 0u);
     EXPECT_EQ(lineAlign(64), 64u);
     EXPECT_EQ(lineAlign(130), 128u);
-}
-
-TEST(EventQueue, ExecutesInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(300, [&] { order.push_back(3); });
-    q.schedule(100, [&] { order.push_back(1); });
-    q.schedule(200, [&] { order.push_back(2); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.now(), 300u);
-    EXPECT_EQ(q.executed(), 3u);
-}
-
-TEST(EventQueue, TiesBreakFifo)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 10; ++i)
-        q.schedule(50, [&order, i] { order.push_back(i); });
-    q.run();
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, RunUntilAdvancesClock)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(100, [&] { ++fired; });
-    q.schedule(500, [&] { ++fired; });
-    q.runUntil(250);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 250u);
-    q.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    int depth = 0;
-    std::function<void()> chain = [&] {
-        if (++depth < 5)
-            q.scheduleAfter(10, chain);
-    };
-    q.schedule(0, chain);
-    q.run();
-    EXPECT_EQ(depth, 5);
-    EXPECT_EQ(q.now(), 40u);
-}
-
-TEST(EventQueue, StressTickSeqOrdering)
-{
-    // 10k randomly-ticked events must execute in exact (tick,
-    // insertion-seq) order — the determinism contract the whole
-    // simulator leans on.
-    constexpr int kEvents = 10000;
-    EventQueue q;
-    Rng rng(12345);
-    std::vector<std::pair<Tick, int>> expected;
-    expected.reserve(kEvents);
-    std::vector<std::pair<Tick, int>> executed;
-    executed.reserve(kEvents);
-    for (int id = 0; id < kEvents; ++id) {
-        // Narrow tick range so ties are common.
-        const Tick when = rng.below(977);
-        expected.emplace_back(when, id);
-        q.schedule(when, [&executed, &q, id] {
-            executed.emplace_back(q.now(), id);
-        });
-    }
-    q.run();
-    // Stable sort by tick keeps insertion order within a tick.
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-    ASSERT_EQ(executed.size(), expected.size());
-    for (int i = 0; i < kEvents; ++i) {
-        ASSERT_EQ(executed[i].first, expected[i].first) << "at " << i;
-        ASSERT_EQ(executed[i].second, expected[i].second)
-            << "at " << i;
-    }
-    EXPECT_EQ(q.executed(), static_cast<std::uint64_t>(kEvents));
-}
-
-TEST(EventQueue, HandlerIsAllocationFreeForTypicalCaptures)
-{
-    // A four-word capture must fit the inline buffer.
-    struct Capture
-    {
-        void *a, *b, *c;
-        std::uint64_t d;
-    };
-    static_assert(sizeof(Capture) <= kInlineFunctionStorage);
-    int hits = 0;
-    std::uint64_t sum = 0;
-    EventQueue q;
-    Capture cap{&hits, &q, nullptr, 41};
-    q.schedule(5, [cap, &hits, &sum] {
-        ++hits;
-        sum += cap.d;
-    });
-    q.run();
-    EXPECT_EQ(hits, 1);
-    EXPECT_EQ(sum, 41u);
-}
-
-TEST(InlineFunction, MoveOnlyAndOversizedCaptures)
-{
-    // Move-only capture.
-    auto p = std::make_unique<int>(7);
-    InlineFunction f([q = std::move(p)] { *q += 1; });
-    EXPECT_TRUE(static_cast<bool>(f));
-    f();
-
-    // Oversized capture falls back to the heap but still works.
-    struct Big
-    {
-        char bytes[200];
-    };
-    Big big{};
-    big.bytes[199] = 42;
-    int seen = 0;
-    InlineFunction g([big, &seen] { seen = big.bytes[199]; });
-    InlineFunction h = std::move(g);
-    EXPECT_FALSE(static_cast<bool>(g));
-    h();
-    EXPECT_EQ(seen, 42);
-
-    // Move-assignment releases the previous payload.
-    h = InlineFunction([&seen] { seen = -1; });
-    h();
-    EXPECT_EQ(seen, -1);
 }
 
 TEST(Rng, Deterministic)

@@ -542,6 +542,43 @@ TEST(Supervisor, ResumeSkipsJournaledPoints)
     EXPECT_EQ(out, renderVictim(clean, Victim::kOk));
 }
 
+TEST(Supervisor, ResumeReadsJournalWithElapsedField)
+{
+    // Journals written before the sweep stopped timing points carry
+    // an "elapsed_us" field in every finished record. --resume must
+    // still take every such point from the journal.
+    const std::string path = freshJournal("journal-elapsed");
+    sweep::Options first = isolated();
+    first.jobs = 2;
+    first.journalPath = path;
+    const std::string want = renderVictim(first, Victim::kOk);
+
+    std::string text = slurp(path);
+    const std::string field = "\"slots_hex\":";
+    std::size_t patched = 0;
+    for (std::size_t at = text.find(field); at != std::string::npos;
+         at = text.find(field, at + 32)) {
+        text.insert(at, "\"elapsed_us\":1234567,");
+        ++patched;
+    }
+    ASSERT_EQ(patched, 5u);
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f << text;
+    }
+
+    sweep::Options second = isolated();
+    second.jobs = 2;
+    second.resume = true;
+    second.journalPath = path;
+    sweep::Sweep::Report rep;
+    const std::string out = renderVictim(
+        second, Victim::kSegv, &rep, /*trapSurvivors=*/true);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.resumedPoints, 5u);
+    EXPECT_EQ(out, want);
+}
+
 TEST(Supervisor, ResumeWithoutJournalPathIsAConfigError)
 {
     sweep::Options o = isolated();

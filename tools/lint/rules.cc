@@ -191,8 +191,7 @@ ruleDetUnorderedIter(const std::string &path, const Tokens &t,
                         underDir(path, "bench/") ||
                         underDir(path, "tools/") ||
                         pathHas(path, "sim/sweep") ||
-                        pathHas(path, "sim/run_cache") ||
-                        pathHas(path, "sim/cost_model");
+                        pathHas(path, "sim/run_cache");
     if (!scoped)
         return;
 
@@ -334,9 +333,8 @@ ruleDetStaticLocal(const std::string &path, const Tokens &t,
  * retry is the classic rare-flake: it works for months, then one
  * ^C lands mid-read and a clean drain becomes a torn payload. The
  * blessed home for the retry loops is src/sim/retry_io.hh; daemon,
- * supervisor, fork-worker (sim/worker) and cost-model code (whose
- * DB the forked serve workers also write under the cache flock)
- * must call those wrappers, never the raw syscall.
+ * supervisor and fork-worker (sim/worker) code must call those
+ * wrappers, never the raw syscall.
  */
 void
 ruleSrvEintrRetry(const std::string &path, const Tokens &t,
@@ -345,7 +343,6 @@ ruleSrvEintrRetry(const std::string &path, const Tokens &t,
     const bool scoped = underDir(path, "src/serve/") ||
                         pathHas(path, "sim/supervisor") ||
                         pathHas(path, "sim/worker") ||
-                        pathHas(path, "sim/cost_model") ||
                         pathHas(path, "sim/io_fault");
     if (!scoped || pathHas(path, "sim/retry_io."))
         return;

@@ -75,8 +75,6 @@ usage()
         "               [--isolate] [--resume] [--retries N]\n"
         "               [--timeout-ms N] [--journal F]\n"
         "               [--check-invariants]\n"
-        "               [--sched fifo|lpt] [--cost-db F]\n"
-        "               [--no-cost-db] [--progress]\n"
         "               <figure...>|all\n"
         "  melody sweep --list\n"
         "  melody cache stats|clear [--cache-dir D]\n"
@@ -99,12 +97,7 @@ usage()
         "offline@<t>[:devN],failover,... (see src/ras/fault_plan.hh)\n"
         "global: --io-faults SPEC  deterministic host-I/O fault\n"
         "        injection (e.g. \"seed=7 write:enospc@0.01\";\n"
-        "        MELODY_IO_FAULTS equivalent; DESIGN.md §15)\n"
-        "sweep scheduling: points dispatch longest-predicted-\n"
-        "        first off the cost DB (<cache-dir>/costdb.tsv;\n"
-        "        --sched fifo restores declaration order, output\n"
-        "        bytes identical either way). --progress draws a\n"
-        "        done/ETA status line on stderr.\n");
+        "        MELODY_IO_FAULTS equivalent; DESIGN.md §15)\n");
     return 2;
 }
 
@@ -271,26 +264,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
             opts.journalPath = args[++i];
         } else if (a == "--check-invariants") {
             opts.checkInvariants = true;
-        } else if (a == "--sched") {
-            if (i + 1 == args.size())
-                throw ConfigError("--sched needs a value");
-            const std::string &v = args[++i];
-            if (v == "fifo")
-                opts.sched = sweep::Sched::kFifo;
-            else if (v == "lpt")
-                opts.sched = sweep::Sched::kLpt;
-            else
-                throw ConfigError(
-                    "--sched must be 'fifo' or 'lpt', got '" + v +
-                    "'");
-        } else if (a == "--cost-db") {
-            if (i + 1 == args.size())
-                throw ConfigError("--cost-db needs a value");
-            opts.costDbPath = args[++i];
-        } else if (a == "--no-cost-db") {
-            opts.costDb = false;
-        } else if (a == "--progress") {
-            opts.progress = true;
         } else if (a == "all") {
             for (const auto &f : figs::all())
                 picked.push_back(&f);
