@@ -1,5 +1,7 @@
 #include "slowdown.hh"
 
+#include <cstdio>
+
 #include "sim/parallel.hh"
 
 #include "workloads/synthetic_kernel.hh"
@@ -35,16 +37,63 @@ slowdownPct(const cpu::RunResult &baseline,
 
 namespace {
 
-/** Memo key: everything runWorkload() draws on besides the study
- *  seed. Callers may run scaled or reseeded variants of the same
- *  named workload. */
+// The memo key below spells out every field of the profile. A new
+// field changes these sizes and fails the build until it is added
+// to the key (and the byte count here is updated).
+static_assert(sizeof(cpu::CoreExecParams) == 4 * sizeof(double));
+static_assert(sizeof(workloads::Phase) == 4 * sizeof(double));
+static_assert(sizeof(workloads::WorkloadProfile) ==
+              2 * sizeof(std::string) +
+                  sizeof(std::vector<workloads::Phase>) +
+                  sizeof(cpu::CoreExecParams) + 9 * sizeof(double) +
+                  4 * sizeof(std::uint64_t) +
+                  // threads and coldBurst, each padded to 8 bytes
+                  2 * sizeof(std::uint64_t));
+
+/** Memo key: the server and every field of the profile, doubles as
+ *  exact hexfloats. Callers run scaled, reseeded and re-phased
+ *  variants of one named workload, and each needs its own
+ *  baseline. */
 std::string
 baselineKey(const workloads::WorkloadProfile &w,
             const std::string &server)
 {
-    return server + "/" + w.name + "/" +
-           std::to_string(w.blocksPerCore) + "/" +
-           std::to_string(w.threads) + "/" + std::to_string(w.seed);
+    std::string key = server + "/" + w.name + "/" + w.family;
+    char buf[64];
+    const auto num = [&](double v) {
+        std::snprintf(buf, sizeof(buf), "/%a", v);
+        key += buf;
+    };
+    const auto uint = [&](std::uint64_t v) {
+        key += "/" + std::to_string(v);
+    };
+    uint(w.threads);
+    uint(w.blocksPerCore);
+    num(w.uopsPerBlock);
+    num(w.loadsPerBlock);
+    num(w.storesPerBlock);
+    num(w.seqFrac);
+    num(w.strideFrac);
+    num(w.hotFrac);
+    num(w.dependentFrac);
+    num(w.storeHotFrac);
+    uint(w.coldBurst);
+    uint(w.workingSetBytes);
+    num(w.zipfSkew);
+    uint(w.hotBytes);
+    num(w.exec.frontendStallFrac);
+    num(w.exec.onePortFrac);
+    num(w.exec.twoPortFrac);
+    num(w.exec.serializeFrac);
+    uint(w.phases.size());
+    for (const workloads::Phase &ph : w.phases) {
+        num(ph.weight);
+        num(ph.intensity);
+        num(ph.dependence);
+        num(ph.stores);
+    }
+    uint(w.seed);
+    return key;
 }
 
 }  // namespace

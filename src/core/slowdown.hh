@@ -38,7 +38,9 @@ double slowdownPct(const cxlsim::cpu::RunResult &baseline,
 /**
  * Runs workloads across setups, caching the per-server Local
  * baseline so each workload's baseline runs once, even when many
- * threads ask for it at the same moment.
+ * threads ask for it at the same moment. The memo keys on the
+ * server and every field of the profile, so two profiles share a
+ * baseline only when they are the same workload.
  *
  * The memo is single-flight: the first caller to claim a key runs
  * the baseline and publishes it through a shared future; later

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/mio.hh"
 #include "core/mlc.hh"
 #include "core/platform.hh"
@@ -178,6 +180,64 @@ TEST(Slowdown, StudyKeysBaselinesBySeed)
     EXPECT_EQ(study.baselineRuns(), 2u);
     EXPECT_TRUE(ba.wallTicks != bb.wallTicks ||
                 ba.backendStats.reads != bb.backendStats.reads);
+}
+
+namespace {
+
+/** 520.omnetpp_r with every phase's intensity scaled, as fig08(d)
+ *  sweeps it; short enough for a unit test. */
+workloads::WorkloadProfile
+omnetppAtIntensity(double scale)
+{
+    workloads::WorkloadProfile w = workloads::byName("520.omnetpp_r");
+    w.blocksPerCore = 1500;
+    for (auto &ph : w.phases)
+        ph.intensity *= scale;
+    if (w.phases.empty())
+        w.phases.push_back({1.0, scale, 1.0, 1.0});
+    return w;
+}
+
+}  // namespace
+
+TEST(Slowdown, StudyKeysBaselinesByPhaseIntensity)
+{
+    // Same name, blocks, threads and seed: only one phase's
+    // intensity differs, and the baselines must differ with it.
+    melody::SlowdownStudy study(77);
+    const workloads::WorkloadProfile a = omnetppAtIntensity(1.0);
+    workloads::WorkloadProfile b = a;
+    b.phases.front().intensity *= 0.5;
+    const auto &ba = study.baseline(a, "SKX2S");
+    const auto &bb = study.baseline(b, "SKX2S");
+    EXPECT_NE(&ba, &bb);
+    EXPECT_EQ(study.baselineRuns(), 2u);
+    EXPECT_NE(ba.wallTicks, bb.wallTicks);
+}
+
+TEST(Slowdown, SharedStudyMatchesFreshStudyInAnyOrder)
+{
+    // One study shared by every call must give each call exactly
+    // what a fresh study gives it, whichever variant claims the
+    // memo first.
+    const std::vector<double> scales = {1.0, 0.5, 0.25};
+    std::vector<double> want;
+    for (const double scale : scales) {
+        melody::SlowdownStudy fresh(31);
+        want.push_back(
+            fresh.slowdown(omnetppAtIntensity(scale), "SKX2S", "CXL-A"));
+    }
+    for (const bool reverse : {false, true}) {
+        melody::SlowdownStudy shared(31);
+        for (std::size_t k = 0; k < scales.size(); ++k) {
+            const std::size_t i = reverse ? scales.size() - 1 - k : k;
+            EXPECT_EQ(shared.slowdown(omnetppAtIntensity(scales[i]),
+                                      "SKX2S", "CXL-A"),
+                      want[i])
+                << "scale " << scales[i] << (reverse ? " reversed" : "");
+        }
+        EXPECT_EQ(shared.baselineRuns(), scales.size());
+    }
 }
 
 TEST(Slowdown, SuperLinearInLatency)
