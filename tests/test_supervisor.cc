@@ -555,10 +555,11 @@ TEST(Supervisor, ResumeReadsJournalWithElapsedField)
 
     std::string text = slurp(path);
     const std::string field = "\"slots_hex\":";
+    const std::string stamp = "\"elapsed_us\":1234567,";
     std::size_t patched = 0;
     for (std::size_t at = text.find(field); at != std::string::npos;
-         at = text.find(field, at + 32)) {
-        text.insert(at, "\"elapsed_us\":1234567,");
+         at = text.find(field, at + stamp.size() + field.size())) {
+        text.insert(at, stamp);
         ++patched;
     }
     ASSERT_EQ(patched, 5u);

@@ -242,6 +242,9 @@ TEST(Sweep, RealFiguresByteIdenticalAcrossJobsAndIsolation)
 
 TEST(Sweep, IsolatedRunsMatchInProcessBytes)
 {
+    // The synthetic sweep's two-slot points carry a hidden hexfloat
+    // slot into a gather, so this checks that multi-slot results
+    // cross the worker pipe bit-exactly.
     sweep::Options ref = noCache();
     ref.jobs = 4;
     const std::string want = renderSynthetic(ref);
