@@ -7,10 +7,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "sim/rng.hh"
 #include "stats/histogram.hh"
+#include "stats/json.hh"
+#include "stats/rows.hh"
 #include "stats/streaming.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
@@ -327,4 +333,134 @@ TEST(TimeSeries, DownsampleKeepsSpikes)
     const TimeSeries d = ts.downsampleMax(50);
     EXPECT_LE(d.size(), 50u);
     EXPECT_DOUBLE_EQ(d.maxValue(), 99.0);
+}
+
+TEST(JsonWriter, CommasSeparateElementsAtEveryNestingLevel)
+{
+    JsonWriter j;
+    j.beginObject();
+    j.field("a", 1);
+    j.key("b").beginArray();
+    j.value(1).value(2);
+    j.beginObject().endObject();
+    j.beginArray().endArray();
+    j.endArray();
+    j.field("c", true);
+    j.endObject();
+    EXPECT_EQ(j.str(), R"({"a":1,"b":[1,2,{},[]],"c":true})");
+}
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlBytes)
+{
+    // Every byte below 0x20 must be escaped (RFC 8259); bytes at or
+    // above 0x80 are UTF-8 and pass through untouched.
+    JsonWriter j;
+    j.beginObject();
+    j.field("k\"ey", std::string_view("q\"b\\s\nn\tt\rr"));
+    j.field("ctl", std::string_view(std::string("a\0b\x01\x1f", 5)));
+    j.field("utf8", "caf\xc3\xa9");
+    j.endObject();
+    EXPECT_EQ(j.str(), "{\"k\\\"ey\":\"q\\\"b\\\\s\\nn\\tt\\rr\","
+                       "\"ctl\":\"a\\u0000b\\u0001\\u001f\","
+                       "\"utf8\":\"caf\xc3\xa9\"}");
+}
+
+TEST(JsonWriter, DoublesRoundTripAndNonFiniteBecomesNull)
+{
+    for (const double v : {0.1, -2.5e-300, 1.0 / 3.0, 6.02214076e23,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::denorm_min()}) {
+        JsonWriter j;
+        j.value(v);
+        EXPECT_EQ(std::strtod(j.str().c_str(), nullptr), v) << j.str();
+    }
+    JsonWriter j;
+    j.beginArray();
+    j.value(std::numeric_limits<double>::quiet_NaN());
+    j.value(std::numeric_limits<double>::infinity());
+    j.value(-std::numeric_limits<double>::infinity());
+    j.endArray();
+    EXPECT_EQ(j.str(), "[null,null,null]");
+}
+
+TEST(JsonWriter, IntegerOverloadsPrintExactExtremes)
+{
+    JsonWriter j;
+    j.beginArray();
+    j.value(std::numeric_limits<std::uint64_t>::max());
+    j.value(std::numeric_limits<std::int64_t>::min());
+    j.value(std::numeric_limits<unsigned>::max());
+    j.value(-1);
+    j.value(false);
+    j.endArray();
+    EXPECT_EQ(j.str(), "[18446744073709551615,-9223372036854775808,"
+                       "4294967295,-1,false]");
+}
+
+TEST(Rows, EncodeDecodeRoundTripsArbitraryBytes)
+{
+    const std::vector<std::string> rows = {
+        "plain row\n", "", std::string("nul\0inside", 10),
+        "12\n34\n", std::string(3000, '\xff')};
+    std::vector<std::string> out;
+    ASSERT_TRUE(decodeRows(encodeRows(rows), &out));
+    EXPECT_EQ(out, rows);
+}
+
+TEST(Rows, EmptyListRoundTrips)
+{
+    EXPECT_EQ(encodeRows({}), "0\n");
+    std::vector<std::string> out = {"stale"};
+    ASSERT_TRUE(decodeRows("0\n", &out));
+    EXPECT_TRUE(out.empty());
+}
+
+TEST(Rows, DecodeRejectsEveryTruncation)
+{
+    // A torn cache entry or journal record must never decode to a
+    // shorter list: every strict prefix is structurally invalid.
+    const std::string blob =
+        encodeRows({"first\n", "", "10 digits\n", "x"});
+    for (std::size_t k = 0; k < blob.size(); ++k) {
+        std::vector<std::string> out = {"untouched"};
+        EXPECT_FALSE(decodeRows(std::string_view(blob).substr(0, k),
+                                &out))
+            << "prefix of " << k << " bytes";
+        EXPECT_EQ(out, std::vector<std::string>{"untouched"});
+    }
+}
+
+TEST(Rows, DecodeRejectsTrailingBytesAndMalformedLengths)
+{
+    std::vector<std::string> out = {"untouched"};
+    const std::string blob = encodeRows({"ab", "c"});
+    EXPECT_FALSE(decodeRows(blob + "x", &out));
+    EXPECT_FALSE(decodeRows(blob + "\n", &out));
+    EXPECT_FALSE(decodeRows("", &out));
+    EXPECT_FALSE(decodeRows("\n", &out));
+    EXPECT_FALSE(decodeRows("-1\n", &out));
+    EXPECT_FALSE(decodeRows("1 \n0\n", &out));
+    // A count larger than the remaining bytes could ever hold.
+    EXPECT_FALSE(decodeRows("1000\n0\n", &out));
+    // A row length that overflows size_t.
+    EXPECT_FALSE(
+        decodeRows("1\n999999999999999999999999999\nx", &out));
+    EXPECT_EQ(out, std::vector<std::string>{"untouched"});
+}
+
+TEST(Rows, Fnv1a64MatchesReferenceVectorsAndChains)
+{
+    EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+    // The run cache hashes salt then key by chaining the seed; that
+    // must equal hashing the concatenation.
+    EXPECT_EQ(fnv1a64("bar", fnv1a64("foo")), fnv1a64("foobar"));
+}
+
+TEST(Rows, Hex64IsFixedWidthLowercase)
+{
+    EXPECT_EQ(hex64(0), "0000000000000000");
+    EXPECT_EQ(hex64(0xDEADBEEFull), "00000000deadbeef");
+    EXPECT_EQ(hex64(~std::uint64_t{0}), "ffffffffffffffff");
 }

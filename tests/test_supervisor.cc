@@ -511,6 +511,125 @@ TEST(Journal, LoadIgnoresTornTrailingLine)
     EXPECT_EQ(done.size(), 5u);
 }
 
+TEST(Journal, LastFinishedRecordWinsAndFailuresAreNotCompletions)
+{
+    const std::string path = freshJournal("journal-direct");
+    {
+        sweep::Journal j;
+        j.open(path, false);
+        ASSERT_TRUE(j.active());
+        j.begin("direct", "direct-salt", false);
+        j.queued("aaaa", 0, "point-a");
+        j.queued("bbbb", 1, "point-b");
+        j.started("aaaa", 1);
+        j.finished("aaaa", 1, {"old"});
+        j.started("aaaa", 2);
+        j.finished("aaaa", 2, {"new", "rows"});
+        j.started("bbbb", 1);
+        j.failed("bbbb", 1, "signal SIGSEGV", true);
+        EXPECT_TRUE(j.failure().empty());
+    }
+    std::map<std::string, std::vector<std::string>> done;
+    std::string err;
+    ASSERT_TRUE(
+        sweep::Journal::load(path, "direct-salt", &done, &err))
+        << err;
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done["aaaa"],
+              (std::vector<std::string>{"new", "rows"}));
+}
+
+TEST(Journal, ArbitraryBytesInSlotsKeysAndSaltRoundTrip)
+{
+    // A key holding a newline and a forged `finished` record must
+    // stay inside its own escaped line, never become a completion.
+    const std::string path = freshJournal("journal-bytes");
+    const std::string salt = "salt \"quoted\" \\ tab\t";
+    const std::vector<std::string> slots = {
+        "line1\nline2\n", std::string("\0\xff\"\\", 4), ""};
+    {
+        sweep::Journal j;
+        j.open(path, false);
+        j.begin("bytes", salt, false);
+        j.queued("ffff", 0,
+                 "k\n{\"event\":\"finished\",\"hash\":\"ffff\","
+                 "\"slots_hex\":\"300a\"}");
+        j.finished("aaaa", 1, slots);
+    }
+    std::map<std::string, std::vector<std::string>> done;
+    std::string err;
+    ASSERT_TRUE(sweep::Journal::load(path, salt, &done, &err))
+        << err;
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done["aaaa"], slots);
+}
+
+TEST(Journal, KeepAppendsWhileTruncateStartsOver)
+{
+    const std::string path = freshJournal("journal-keep");
+    const auto write = [&](bool keep, const char *hash) {
+        sweep::Journal j;
+        j.open(path, keep);
+        j.begin("keep", "keep-salt", keep);
+        j.finished(hash, 1, {hash});
+    };
+    const auto load = [&] {
+        std::map<std::string, std::vector<std::string>> done;
+        std::string err;
+        EXPECT_TRUE(
+            sweep::Journal::load(path, "keep-salt", &done, &err))
+            << err;
+        return done;
+    };
+
+    write(false, "aaaa");
+    write(true, "bbbb");
+    auto done = load();
+    EXPECT_EQ(done.size(), 2u);
+    EXPECT_EQ(done.count("aaaa"), 1u);
+    EXPECT_EQ(done.count("bbbb"), 1u);
+
+    write(false, "cccc");
+    done = load();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done.count("cccc"), 1u);
+}
+
+TEST(Journal, LoadRejectsMissingFileAndMissingOrMalformedHeader)
+{
+    std::map<std::string, std::vector<std::string>> done;
+    std::string err;
+    const std::string missing = freshJournal("journal-missing");
+    EXPECT_FALSE(sweep::Journal::load(missing, "s", &done, &err));
+    EXPECT_NE(err.find("cannot read"), std::string::npos) << err;
+
+    // A journal that never opened writes nothing and reports no
+    // failure: journaling is simply off.
+    sweep::Journal off;
+    EXPECT_FALSE(off.active());
+    off.begin("off", "s", false);
+    EXPECT_TRUE(off.failure().empty());
+
+    const std::string headless = freshJournal("journal-headless");
+    {
+        sweep::Journal j;
+        j.open(headless, false);
+        j.finished("aaaa", 1, {"x"});
+    }
+    err.clear();
+    EXPECT_FALSE(sweep::Journal::load(headless, "s", &done, &err));
+    EXPECT_NE(err.find("no sweep header"), std::string::npos) << err;
+
+    const std::string saltless = freshJournal("journal-saltless");
+    {
+        std::ofstream f(saltless, std::ios::binary);
+        f << "{\"event\":\"sweep\",\"name\":\"x\"}\n";
+    }
+    err.clear();
+    EXPECT_FALSE(sweep::Journal::load(saltless, "s", &done, &err));
+    EXPECT_NE(err.find("malformed header"), std::string::npos) << err;
+}
+
 TEST(Supervisor, ResumeSkipsJournaledPoints)
 {
     const std::string path = freshJournal("journal-resume");
@@ -814,6 +933,92 @@ TEST(RunCacheMaintenance, ClearRacesLiveWriterSafely)
     stop.store(true);
     clearer.join();
     sweep::RunCache::clearDir(dir);
+}
+
+TEST(RunCache, StoreThenLookupRoundTripsRows)
+{
+    const std::string dir = freshDir("runcache-roundtrip");
+    const std::vector<std::string> rows = {
+        "a\n", "", std::string("bytes\0\xff", 7)};
+    {
+        sweep::RunCache c(dir, "rc-salt");
+        c.store("point-key", rows);
+        std::vector<std::string> out;
+        ASSERT_TRUE(c.lookup("point-key", rows.size(), &out));
+        EXPECT_EQ(out, rows);
+        EXPECT_FALSE(c.lookup("other-key", rows.size(), &out));
+        EXPECT_EQ(c.stats().stores, 1u);
+        EXPECT_EQ(c.stats().hits, 1u);
+        EXPECT_EQ(c.stats().misses, 1u);
+        EXPECT_EQ(c.stats().corrupt, 0u);
+    }
+    // A later process with the same salt hits; another salt
+    // addresses a different file, so it is a plain miss.
+    sweep::RunCache again(dir, "rc-salt");
+    std::vector<std::string> out;
+    ASSERT_TRUE(again.lookup("point-key", rows.size(), &out));
+    EXPECT_EQ(out, rows);
+    sweep::RunCache bumped(dir, "rc-salt-2");
+    EXPECT_FALSE(bumped.lookup("point-key", rows.size(), &out));
+    EXPECT_EQ(bumped.stats().corrupt, 0u);
+}
+
+TEST(RunCache, WrongRowCountIsACorruptMiss)
+{
+    const std::string dir = freshDir("runcache-rowcount");
+    sweep::RunCache c(dir, "rc-salt");
+    c.store("point-key", {"one", "two"});
+    std::vector<std::string> out = {"untouched"};
+    EXPECT_FALSE(c.lookup("point-key", 3, &out));
+    EXPECT_EQ(c.stats().corrupt, 1u);
+    EXPECT_EQ(out, std::vector<std::string>{"untouched"});
+}
+
+TEST(RunCache, EntryWrittenForAnotherKeyOrSaltIsRejected)
+{
+    // Simulate a hash collision: overwrite one key's entry file
+    // with another key's (then another salt's) bytes. The key and
+    // salt echoed in the entry must turn both into corrupt misses.
+    namespace fs = std::filesystem;
+    const std::string dir = freshDir("runcache-collide");
+    const auto entries = [&] {
+        std::vector<fs::path> v;
+        for (const auto &e : fs::directory_iterator(dir))
+            if (e.path().extension() == ".rcache")
+                v.push_back(e.path());
+        return v;
+    };
+
+    sweep::RunCache c(dir, "rc-salt");
+    c.store("key-a", {"A"});
+    ASSERT_EQ(entries().size(), 1u);
+    const fs::path fileA = entries()[0];
+    c.store("key-b", {"B"});
+    ASSERT_EQ(entries().size(), 2u);
+    const fs::path fileB =
+        entries()[0] == fileA ? entries()[1] : entries()[0];
+    const std::string bytesA = slurp(fileA.string());
+
+    fs::copy_file(fileA, fileB, fs::copy_options::overwrite_existing);
+    std::vector<std::string> out;
+    EXPECT_FALSE(c.lookup("key-b", 1, &out));
+    EXPECT_EQ(c.stats().corrupt, 1u);
+
+    sweep::RunCache other(dir, "rc-salt-2");
+    other.store("key-a", {"A2"});
+    ASSERT_EQ(entries().size(), 3u);
+    for (const fs::path &p : entries()) {
+        if (p == fileA || p == fileB)
+            continue;
+        std::ofstream f(p, std::ios::binary | std::ios::trunc);
+        f << bytesA;
+    }
+    EXPECT_FALSE(other.lookup("key-a", 1, &out));
+    EXPECT_EQ(other.stats().corrupt, 1u);
+
+    // The untouched original still hits.
+    ASSERT_TRUE(c.lookup("key-a", 1, &out));
+    EXPECT_EQ(out, std::vector<std::string>{"A"});
 }
 
 // ---------------------------------------------------------------
