@@ -11,9 +11,8 @@
 #ifndef MELODY_BENCH_COMMON_HH
 #define MELODY_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -109,32 +108,6 @@ cdfSummaryLine(const std::string &setup,
                   quantile(slowdowns, 1.0));
     return buf;
 }
-
-/**
- * Lazily computed value shared (via shared_ptr) across sweep
- * points. Several points often need the same deterministic baseline
- * run; computing it once under a mutex keeps the parallel sweep
- * from duplicating the work while staying order-independent — the
- * value is the same whichever point gets there first.
- */
-template <typename T>
-class Shared
-{
-  public:
-    explicit Shared(std::function<T()> fn) : fn_(std::move(fn)) {}
-
-    const T &
-    get()
-    {
-        std::call_once(once_, [this] { value_ = fn_(); });
-        return value_;
-    }
-
-  private:
-    std::function<T()> fn_;
-    std::once_flag once_;
-    T value_{};
-};
 
 }  // namespace bench
 

@@ -44,11 +44,8 @@ makeServeRunner(unsigned jobs)
 
         sweep::Options opts = sweep::optionsFromEnv();
         // The daemon already isolates at request granularity;
-        // double-forking per point would only add overhead, and a
-        // journal per request would trample the daemon's own.
+        // double-forking per point would only add overhead.
         opts.isolate = false;
-        opts.resume = false;
-        opts.journalPath.clear();
         if (jobs > 0)
             opts.jobs = jobs;
 

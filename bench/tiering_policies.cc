@@ -59,17 +59,6 @@ policyName(mem::TieringPolicy p)
     }
 }
 
-using SharedRun = std::shared_ptr<bench::Shared<cpu::RunResult>>;
-
-SharedRun
-lazyLocalRun(const workloads::WorkloadProfile &w)
-{
-    return std::make_shared<bench::Shared<cpu::RunResult>>([w] {
-        melody::Platform lp("EMR2S", "Local");
-        return melody::runWorkload(w, lp, 71);
-    });
-}
-
 }  // namespace
 
 namespace figs {
@@ -93,18 +82,16 @@ buildTieringPolicies(sweep::Sweep &S)
     w.workingSetBytes = 1536ULL << 20;
     w.zipfSkew = 0.9;  // chased pages have reuse worth capturing
 
-    // The all-local baseline is needed by the intro line and every
-    // policy row; compute it once, whichever point runs first.
-    const SharedRun allLocal = lazyLocalRun(w);
-    S.point("intro|ubench-mix|seed=71",
-            [w, allLocal](sweep::Emit &out) {
-                melody::Platform sp("EMR2S", "CXL-B");
-                const auto allCxl = melody::runWorkload(w, sp, 71);
-                out.printf(
-                    "all-local baseline;  all-CXL slowdown "
-                    "%.1f%%\n\n",
-                    melody::slowdownPct(allLocal->get(), allCxl));
-            });
+    // Each scenario's all-local baseline is needed by its intro
+    // line and every policy row; the study's memo computes it once,
+    // whichever point runs first. It keys on the whole profile, so
+    // scenario 2's mutated workload gets its own baseline.
+    const auto study = std::make_shared<melody::SlowdownStudy>(71);
+    S.point("intro|ubench-mix|seed=71", [w, study](sweep::Emit &out) {
+        out.printf("all-local baseline;  all-CXL slowdown "
+                   "%.1f%%\n\n",
+                   study->slowdown(w, "EMR2S", "CXL-B"));
+    });
 
     S.textf("%-20s %8s %10s %12s %12s %10s\n", "policy", "fastMB",
             "S(%)", "promotions", "fastAccess%", "epochs");
@@ -115,7 +102,7 @@ buildTieringPolicies(sweep::Sweep &S)
             S.point(std::string("s1|") + policyName(pol) +
                         "|fastMb=" + std::to_string(fastMb) +
                         "|seed=71",
-                    [w, allLocal, pol, fastMb](sweep::Emit &out) {
+                    [w, study, pol, fastMb](sweep::Emit &out) {
                         mem::TieringStats ts;
                         const auto r = runTiered(w, pol, fastMb,
                                                  &ts);
@@ -124,7 +111,8 @@ buildTieringPolicies(sweep::Sweep &S)
                             "%10llu\n",
                             policyName(pol),
                             static_cast<unsigned long long>(fastMb),
-                            melody::slowdownPct(allLocal->get(), r),
+                            melody::slowdownPct(
+                                study->baseline(w, "EMR2S"), r),
                             static_cast<unsigned long long>(
                                 ts.promotions),
                             100 * ts.fastFraction(),
@@ -143,13 +131,10 @@ buildTieringPolicies(sweep::Sweep &S)
     w.storeHotFrac = 0.0;
     w.seqFrac = 0.05;
     w.loadsPerBlock = 0.35;
-    const SharedRun wl2 = lazyLocalRun(w);
     S.point("intro2|ubench-mix-writes|seed=71",
-            [w, wl2](sweep::Emit &out) {
-                melody::Platform sp("EMR2S", "CXL-B");
-                const auto wc2 = melody::runWorkload(w, sp, 71);
+            [w, study](sweep::Emit &out) {
                 out.printf("all-CXL slowdown %.1f%%\n",
-                           melody::slowdownPct(wl2->get(), wc2));
+                           study->slowdown(w, "EMR2S", "CXL-B"));
             });
     S.textf("%-20s %8s %10s %12s\n", "policy", "fastMB", "S(%)",
             "fastAccess%");
@@ -158,12 +143,13 @@ buildTieringPolicies(sweep::Sweep &S)
                      mem::TieringPolicy::kStallCost}) {
         S.point(std::string("s2|") + policyName(pol) +
                     "|fastMb=128|seed=71",
-                [w, wl2, pol](sweep::Emit &out) {
+                [w, study, pol](sweep::Emit &out) {
                     mem::TieringStats ts;
                     const auto r = runTiered(w, pol, 128, &ts);
                     out.printf("%-20s %8d %9.1f%% %11.1f%%\n",
                                policyName(pol), 128,
-                               melody::slowdownPct(wl2->get(), r),
+                               melody::slowdownPct(
+                                   study->baseline(w, "EMR2S"), r),
                                100 * ts.fastFraction());
                 });
     }

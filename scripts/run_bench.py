@@ -11,7 +11,8 @@ Usage:
 
     # Pre-merge perf gate: nonzero exit if any benchmark's
     # throughput regressed more than --tolerance vs. the latest
-    # committed baseline.
+    # committed baseline. The run is written to a temp dir, so the
+    # baselines under --out-dir are never touched.
     python3 scripts/run_bench.py --check
 
     # Compare two existing result files without running anything:
@@ -223,7 +224,9 @@ def main():
                     help="perf_microbench binary "
                          f"(default: {DEFAULT_BENCH})")
     ap.add_argument("--out-dir", default=REPO_ROOT,
-                    help="where BENCH_<date>.json is written")
+                    help="baseline directory: recording writes "
+                         "BENCH_<date>.json here, --check compares "
+                         "against the newest one here")
     ap.add_argument("--tolerance", type=float, default=0.15,
                     help="allowed fractional slowdown "
                          "(default 0.15)")
@@ -292,9 +295,22 @@ def main():
         data.setdefault("benchmarks", []).extend(
             suite_entries(args.melody, args.suite_jobs,
                           args.suite_figures.split()))
+    # A check compares against the newest baseline, today's
+    # included, and must not overwrite it: its run goes to a temp
+    # dir that is removed afterwards. Recording writes into
+    # --out-dir.
+    if args.check:
+        with tempfile.TemporaryDirectory(
+                prefix="melody-bench-check-") as tmp:
+            return write_and_compare(data, tmp, args)
+    return write_and_compare(data, args.out_dir, args)
+
+
+def write_and_compare(data, write_dir, args):
+    """Write BENCH_<today>.json into write_dir; gate vs baseline."""
     date = datetime.date.today().isoformat()
     out_path = os.path.abspath(
-        os.path.join(args.out_dir, f"BENCH_{date}.json"))
+        os.path.join(write_dir, f"BENCH_{date}.json"))
     with open(out_path, "w") as f:
         json.dump(data, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -303,7 +319,9 @@ def main():
     baseline = args.baseline or previous_baseline(
         args.out_dir, exclude=out_path)
     if baseline is None:
-        print("no previous baseline found; recorded only.")
+        print("no previous baseline found; "
+              + ("nothing to check against." if args.check
+                 else "recorded only."))
         return 0
 
     regressions = compare(baseline, out_path, args.tolerance)

@@ -71,8 +71,8 @@ struct Worker
 };
 
 /**
- * Append-only JSONL lifecycle journal (same discipline as
- * sim/journal.cc: one flushed write per line, so a crash tears at
+ * Append-only JSONL lifecycle journal (one flushed write per
+ * line, so a crash tears at
  * most the final line).
  */
 class ServeJournal

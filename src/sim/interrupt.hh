@@ -7,7 +7,7 @@
  * Both are single-threaded poll loops managing forked worker
  * subprocesses; both must turn SIGINT/SIGTERM into an orderly
  * wind-down (stop starting new work, reap what is in flight,
- * flush journals, report) instead of dying mid-write. The
+ * persist what finished, report) instead of dying mid-write. The
  * classic shape is used here:
  *
  *  - a volatile sig_atomic_t flag the handler sets, polled from

@@ -397,16 +397,6 @@ xfwrite(const void *p, std::size_t size, std::size_t n,
 }
 
 int
-xfputc(int c, std::FILE *f)
-{
-    if (const Decision d = check(Op::kWrite)) {
-        errno = d.shortIo ? EIO : d.err;
-        return EOF;
-    }
-    return std::fputc(c, f);
-}
-
-int
 xfflush(std::FILE *f)
 {
     if (const Decision d = check(Op::kFlush)) {

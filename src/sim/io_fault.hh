@@ -6,8 +6,8 @@
  * contains *crashes*; this layer injects the failures the host OS
  * itself serves up — ENOSPC on write, EMFILE on open, short reads,
  * flaky flushes, fork/pipe exhaustion — so every degradation path
- * (cache read-only fallback, journal loss diagnostics, cost-DB →
- * FIFO, supervisor retries, serve load shedding) can be exercised
+ * (cache read-only fallback, serve journal loss, supervisor
+ * retries, serve load shedding) can be exercised
  * deterministically in tests and CI instead of waiting for a full
  * disk in production.
  *
@@ -67,7 +67,7 @@ enum class Op : unsigned
 {
     kOpen,    // xfopen / xopen
     kRead,    // retryRead, xfread
-    kWrite,   // retryWrite, xfwrite, xfputc
+    kWrite,   // retryWrite, xfwrite
     kFlush,   // xfflush
     kClose,   // xfclose
     kRename,  // xrename
@@ -151,7 +151,7 @@ std::string errnoName(int err);
 
 // ----------------------------------------------------------------
 // Blessed FILE*/path helpers for the persistence layers (run
-// cache, journals, cost DB). Byte-compatible with the libc calls
+// cache, serve journal). Byte-compatible with the libc calls
 // when injection is disabled; under injection they fail with the
 // injected errno — or genuinely truncate, for `short` — without
 // leaking the resources they manage.
@@ -171,9 +171,6 @@ std::size_t xfread(void *p, std::size_t size, std::size_t n,
  *  faults write nothing and return 0 with errno set. */
 std::size_t xfwrite(const void *p, std::size_t size, std::size_t n,
                     std::FILE *f);
-
-/** fputc(3); shares kWrite (a journal record's newline byte). */
-int xfputc(int c, std::FILE *f);
 
 /** fflush(3); injected kFlush faults return EOF with errno set
  *  (the data may or may not have reached the kernel — exactly the

@@ -56,7 +56,7 @@ pointRows(const SupervisorTask &task, bool checkInvariants)
 SupervisorReport
 runSupervised(const std::vector<SupervisorTask> &tasks,
               const SupervisorConfig &cfg,
-              const SupervisorCallbacks &cb)
+              const SupervisorOnSuccess &onSuccess)
 {
     SupervisorReport report;
     if (tasks.empty())
@@ -82,11 +82,7 @@ runSupervised(const std::vector<SupervisorTask> &tasks,
         // An interrupted run refuses retries: the budget exists to
         // ride out transient faults, not to keep the parent alive
         // after the user asked it to stop.
-        const bool final =
-            attempt >= maxAttempts || sim::interruptRequested();
-        if (cb.onFailure)
-            cb.onFailure(tasks[pos].index, attempt, cause, final);
-        if (final) {
+        if (attempt >= maxAttempts || sim::interruptRequested()) {
             report.failures.push_back(
                 {tasks[pos].index, attempt, cause});
         } else {
@@ -97,8 +93,6 @@ runSupervised(const std::vector<SupervisorTask> &tasks,
 
     auto spawn = [&](std::size_t pos, unsigned attempt) {
         const SupervisorTask &task = tasks[pos];
-        if (cb.onStart)
-            cb.onStart(task.index, attempt);
         // The child drops its inherited read ends of sibling pipes.
         std::vector<int> siblings;
         for (const InFlight &c : inflight)
@@ -122,9 +116,9 @@ runSupervised(const std::vector<SupervisorTask> &tasks,
     // Graceful interruption (SIGINT/SIGTERM with the CLI's
     // handlers installed), in two stages. First signal: stop
     // dispatching and fail every queued point with the distinct
-    // cause "interrupted" (final, so the journal and failure
-    // table name what was cut), but let in-flight workers finish
-    // — their results are journaled and save --resume work.
+    // cause "interrupted" (final, so the failure table names what
+    // was cut), but let in-flight workers finish — their results
+    // reach the run cache, so a rerun skips them.
     // Second signal: the user is done waiting (a hung point would
     // otherwise pin the drain forever without --timeout-ms), so
     // SIGKILL in-flight workers too with the forced cause
@@ -214,10 +208,9 @@ runSupervised(const std::vector<SupervisorTask> &tasks,
                  k += 3)
                 violations.push_back({r[k], r[k + 1], r[k + 2]});
             out.rows.resize(tasks[pos].nSlots);
-            if (cb.onSuccess)
-                cb.onSuccess(tasks[pos].index, attempt,
-                             std::move(out.rows),
-                             std::move(violations));
+            if (onSuccess)
+                onSuccess(tasks[pos].index, std::move(out.rows),
+                          std::move(violations));
         }
     }
 

@@ -34,13 +34,13 @@
  * CLI installs it — a SIGINT/SIGTERM stops the supervisor from
  * dispatching further points. In-flight workers are still reaped
  * and their results honoured; every not-yet-started point fails
- * with the distinct cause "interrupted" (journaled + reported in
- * the failure table like any other cause), and retries of
- * already-failed points are refused. A second signal escalates:
- * in-flight workers are killed with the forced cause
- * "interrupted" too — so a hung point cannot pin the wind-down forever even
- * without a watchdog. The parent never dies mid-write: journal
- * lines stay whole and the failure table still prints.
+ * with the distinct cause "interrupted" (reported in the failure
+ * table like any other cause), and retries of already-failed
+ * points are refused. A second signal escalates: in-flight workers
+ * are killed with the forced cause "interrupted" too — so a hung
+ * point cannot pin the wind-down forever even without a watchdog.
+ * The parent never dies mid-write: run-cache entries stay whole
+ * and the failure table still prints.
  */
 
 #ifndef CXLSIM_SIM_SUPERVISOR_HH
@@ -108,22 +108,15 @@ struct SupervisorReport
     std::vector<SupervisedFailure> failures;
 };
 
-/** Lifecycle callbacks (all optional; invoked on the supervisor
- *  thread, in completion order). */
-struct SupervisorCallbacks
-{
-    std::function<void(std::size_t index, unsigned attempt)> onStart;
-    /** Slots arrive decoded; violations only when checkInvariants. */
-    std::function<void(std::size_t index, unsigned attempt,
-                       std::vector<std::string> slots,
-                       std::vector<sim::InvariantViolation>
-                           violations)>
-        onSuccess;
-    /** @p final is true when the attempt budget is exhausted. */
-    std::function<void(std::size_t index, unsigned attempt,
-                       const std::string &cause, bool final)>
-        onFailure;
-};
+/**
+ * Called once per succeeded task, on the supervisor thread, in
+ * completion order. Slots arrive decoded; violations only when
+ * checkInvariants. Failures are not called back: they are in
+ * SupervisorReport::failures.
+ */
+using SupervisorOnSuccess = std::function<void(
+    std::size_t index, std::vector<std::string> slots,
+    std::vector<sim::InvariantViolation> violations)>;
 
 /**
  * Run @p tasks under supervision (see file comment). Blocks until
@@ -131,7 +124,7 @@ struct SupervisorCallbacks
  */
 SupervisorReport runSupervised(const std::vector<SupervisorTask> &tasks,
                                const SupervisorConfig &cfg,
-                               const SupervisorCallbacks &cb);
+                               const SupervisorOnSuccess &onSuccess);
 
 }  // namespace cxlsim::sweep
 

@@ -6,12 +6,10 @@
 #include <map>
 #include <utility>
 
-#include "sim/journal.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/run_cache.hh"
 #include "sim/supervisor.hh"
-#include "stats/rows.hh"
 
 namespace cxlsim::sweep {
 
@@ -119,7 +117,6 @@ struct Sweep::Point
     std::size_t nSlots;
     PointFn fn;
     std::vector<std::string> slots;
-    bool fromCache = false;
     // Isolated-mode permanent failure (attempt budget exhausted):
     // the point renders a deterministic placeholder instead.
     bool failed = false;
@@ -134,7 +131,7 @@ struct Sweep::Gather
 };
 
 Sweep::Sweep(std::string name, Options opts)
-    : name_(std::move(name)), scope_(name_), opts_(std::move(opts))
+    : scope_(std::move(name)), opts_(std::move(opts))
 {
     if (opts_.cache)
         cache_ = std::make_unique<RunCache>(
@@ -240,56 +237,22 @@ Sweep::compute(Report *report)
     ran_ = true;
     report->points = points_.size();
 
-    const std::string salt =
-        opts_.salt.empty() ? kSweepSalt : opts_.salt;
-    // Journal records are addressed exactly like run-cache entries,
-    // so a salt bump orphans both at once.
-    const auto hashOf = [&](const std::string &key) {
-        return stats::hex64(
-            stats::fnv1a64(key, stats::fnv1a64(salt)));
-    };
-    const bool isolate = opts_.isolate || opts_.resume;
-
-    // Phase 0: load journaled completions (resume mode). A salt or
-    // format mismatch is a user-facing configuration error.
-    std::map<std::string, std::vector<std::string>> journaled;
-    if (opts_.resume) {
-        if (opts_.journalPath.empty())
-            throw ConfigError(
-                "sweep resume requires a journal path");
-        std::string err;
-        if (!Journal::load(opts_.journalPath, salt, &journaled,
-                           &err))
-            throw ConfigError(err);
-    }
-
-    // Phase 1: satisfy points from the journal, then the cache,
-    // serially (cheap file reads); survivors go to the simulator.
+    // Phase 1: satisfy points from the cache, serially (cheap file
+    // reads); survivors go to the simulator. A rerun of a crashed
+    // or interrupted run resumes here: every point that finished
+    // before is a hit.
     std::vector<std::size_t> pending;
     pending.reserve(points_.size());
     for (std::size_t i = 0; i < points_.size(); ++i) {
         Point &p = points_[i];
-        if (opts_.resume) {
-            const auto it = journaled.find(hashOf(p.key));
-            if (it != journaled.end() &&
-                it->second.size() == p.nSlots) {
-                p.slots = it->second;
-                p.fromCache = true;
-                ++report->resumedPoints;
-                continue;
-            }
-        }
-        if (cache_ && cache_->lookup(p.key, p.nSlots, &p.slots)) {
-            p.fromCache = true;
-            continue;
-        }
-        pending.push_back(i);
+        if (!cache_ || !cache_->lookup(p.key, p.nSlots, &p.slots))
+            pending.push_back(i);
     }
 
     // Phase 2: compute the misses — supervised subprocesses under
     // isolation, otherwise the in-process worker pool.
-    if (isolate)
-        computeIsolated(pending, salt, hashOf, report);
+    if (opts_.isolate)
+        computeIsolated(pending, report);
     else
         computeInProcess(pending, report);
 
@@ -297,7 +260,7 @@ Sweep::compute(Report *report)
     // stored the moment each worker reported back, so a later
     // crash cannot lose them).
     if (cache_) {
-        if (!isolate)
+        if (!opts_.isolate)
             for (const std::size_t idx : pending)
                 cache_->store(points_[idx].key,
                               points_[idx].slots);
@@ -349,27 +312,16 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
 }
 
 void
-Sweep::computeIsolated(
-    const std::vector<std::size_t> &pending,
-    const std::string &salt,
-    const std::function<std::string(const std::string &)> &hashOf,
-    Report *report)
+Sweep::computeIsolated(const std::vector<std::size_t> &pending,
+                        Report *report)
 {
-    Journal journal;
-    if (!opts_.journalPath.empty()) {
-        journal.open(opts_.journalPath, opts_.resume);
-        journal.begin(name_, salt, opts_.resume);
-    }
-    // task.index keeps the point id, so journaling, storage and
-    // render order follow declaration order.
+    // task.index keeps the point id, so storage and render order
+    // follow declaration order.
     std::vector<SupervisorTask> tasks;
     tasks.reserve(pending.size());
-    for (const std::size_t idx : pending) {
-        journal.queued(hashOf(points_[idx].key), idx,
-                       points_[idx].key);
+    for (const std::size_t idx : pending)
         tasks.push_back({idx, points_[idx].key,
                          points_[idx].nSlots, &points_[idx].fn});
-    }
 
     SupervisorConfig cfg;
     cfg.jobs = opts_.jobs;
@@ -383,41 +335,26 @@ Sweep::computeIsolated(
     std::map<std::size_t, std::vector<sim::InvariantViolation>>
         diags;
 
-    SupervisorCallbacks cb;
-    cb.onStart = [&](std::size_t idx, unsigned attempt) {
-        journal.started(hashOf(points_[idx].key), attempt);
-    };
-    cb.onSuccess = [&](std::size_t idx, unsigned attempt,
-                       std::vector<std::string> slots,
-                       std::vector<sim::InvariantViolation>
-                           violations) {
-        Point &p = points_[idx];
-        p.slots = std::move(slots);
-        if (cache_)
-            cache_->store(p.key, p.slots);
-        journal.finished(hashOf(p.key), attempt, p.slots);
-        if (!violations.empty())
-            diags[idx] = std::move(violations);
-    };
-    cb.onFailure = [&](std::size_t idx, unsigned attempt,
-                       const std::string &cause, bool final) {
-        journal.failed(hashOf(points_[idx].key), attempt, cause,
-                       final);
-        if (final) {
+    const SupervisorReport srep = runSupervised(
+        tasks, cfg,
+        [&](std::size_t idx, std::vector<std::string> slots,
+            std::vector<sim::InvariantViolation> violations) {
             Point &p = points_[idx];
-            p.failed = true;
-            p.attempts = attempt;
-            p.cause = cause;
-        }
-    };
-
-    const SupervisorReport srep = runSupervised(tasks, cfg, cb);
+            p.slots = std::move(slots);
+            if (cache_)
+                cache_->store(p.key, p.slots);
+            if (!violations.empty())
+                diags[idx] = std::move(violations);
+        });
     report->retries = srep.retries;
-    report->journalError = journal.failure();
-    for (const auto &f : srep.failures)
-        report->failures.push_back({f.index,
-                                    points_[f.index].key,
-                                    f.attempts, f.cause});
+    for (const auto &f : srep.failures) {
+        Point &p = points_[f.index];
+        p.failed = true;
+        p.attempts = f.attempts;
+        p.cause = f.cause;
+        report->failures.push_back(
+            {f.index, p.key, f.attempts, f.cause});
+    }
     for (const auto &[idx, vs] : diags)
         for (const auto &v : vs)
             report->invariantDiags.push_back(

@@ -22,6 +22,10 @@
  * also the unit of caching: each one's slots are persisted in a
  * content-addressed RunCache keyed by (salt, scope, point key), so
  * re-running a figure recomputes only points whose keys changed.
+ * The cache is also how a killed run resumes: isolated runs store
+ * each point the moment its worker reports back, so running the
+ * same command again recomputes only the points that never
+ * finished.
  *
  * Contract for point closures: capture everything by value (the
  * declaring frame is gone by run()-time; share heavyweight state
@@ -123,20 +127,14 @@ struct Options
      * subprocess per point (src/sim/supervisor.hh) instead of
      * running points on the in-process thread pool. Byte-identical
      * stdout on fault-free runs; on faults, surviving points still
-     * render and failures are reported in Report::failures.
+     * render (and are already in the run cache) and failures are
+     * reported in Report::failures.
      */
     bool isolate = false;
-    /**
-     * Skip points already journaled complete (implies isolate;
-     * requires journalPath). See src/sim/journal.hh.
-     */
-    bool resume = false;
     /** Attempts per point under isolation, >= 1 (1 = no retry). */
     unsigned maxAttempts = 2;
     /** Per-attempt wall-clock watchdog in ms; 0 disables it. */
     unsigned timeoutMs = 0;
-    /** Journal path for isolated runs; empty disables journaling. */
-    std::string journalPath;
     /**
      * Install the runtime invariant checker (sim::Invariants)
      * around every point. Default-on in Debug builds.
@@ -199,8 +197,6 @@ class Sweep
         std::size_t cacheHits = 0;
         std::size_t cacheStores = 0;
         std::size_t corruptEntries = 0;
-        /** Points skipped via the journal (resume mode). */
-        std::size_t resumedPoints = 0;
         /** Isolated attempts beyond each point's first. */
         std::uint64_t retries = 0;
         /** Points that failed permanently, by point index. */
@@ -211,16 +207,10 @@ class Sweep
          *  store failure). Results stay correct — they are just
          *  recomputed next time. */
         bool cacheDegraded = false;
-        /** Journaling was lost ("open-failed: ..." /
-         *  "write-failed: ..."); empty while healthy. A lost
-         *  journal only costs --resume coverage, never results, so
-         *  it is a diagnostic, not a failure. */
-        std::string journalError;
 
         /** No failed points and no invariant violations.
-         *  (Degradation diagnostics — cacheDegraded, journalError —
-         *  deliberately do not flip this: outputs are still
-         *  complete and correct.) */
+         *  (cacheDegraded deliberately does not flip this: outputs
+         *  are still complete and correct.) */
         bool
         clean() const
         {
@@ -228,6 +218,7 @@ class Sweep
         }
     };
 
+    /** @p name is the cache-key scope until scope() changes it. */
     explicit Sweep(std::string name, Options opts = Options());
     ~Sweep();
 
@@ -289,15 +280,10 @@ class Sweep
     void compute(Report *report);
     void computeInProcess(const std::vector<std::size_t> &pending,
                           Report *report);
-    void computeIsolated(
-        const std::vector<std::size_t> &pending,
-        const std::string &salt,
-        const std::function<std::string(const std::string &)>
-            &hashOf,
-        Report *report);
+    void computeIsolated(const std::vector<std::size_t> &pending,
+                         Report *report);
     void render(std::FILE *out, std::string *str);
 
-    std::string name_;
     std::string scope_;
     Options opts_;
     std::unique_ptr<RunCache> cache_;

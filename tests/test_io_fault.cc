@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/io_fault.hh"
-#include "sim/journal.hh"
 #include "sim/logging.hh"
 #include "sim/retry_io.hh"
 #include "sim/run_cache.hh"
@@ -236,6 +235,69 @@ TEST_F(IoFaultTest, XfcloseReportsErrorButNeverLeaksTheFd)
     EXPECT_EQ(openFdCount(), before);
 }
 
+TEST_F(IoFaultTest, ErrnoWriteFaultWritesNothing)
+{
+    iof::install("write:enospc@#1");
+    std::FILE *f = iof::xfopen(path("a").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    errno = 0;
+    EXPECT_EQ(iof::xfwrite("0123456789", 1, 10, f), 0u);
+    EXPECT_EQ(errno, ENOSPC);
+    EXPECT_EQ(iof::xfwrite("abcd", 1, 4, f), 4u);
+    EXPECT_EQ(iof::xfclose(f), 0);
+    EXPECT_EQ(fs::file_size(path("a")), 4u);
+}
+
+TEST_F(IoFaultTest, ShortReadReadsNothingAndLeavesTheStreamAlone)
+{
+    {
+        std::FILE *f = std::fopen(path("a").c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs("payload", f);
+        std::fclose(f);
+    }
+    iof::install("read:short@#1");
+    std::FILE *f = iof::xfopen(path("a").c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[16] = {};
+    EXPECT_EQ(iof::xfread(buf, 1, sizeof(buf), f), 0u);
+    // The next read starts where the injected one would have.
+    EXPECT_EQ(iof::xfread(buf, 1, sizeof(buf), f), 7u);
+    EXPECT_EQ(std::string(buf, 7), "payload");
+    iof::xfclose(f);
+}
+
+TEST_F(IoFaultTest, FlushFaultReturnsEofWithErrno)
+{
+    iof::install("flush:eio@#1");
+    std::FILE *f = iof::xfopen(path("a").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(iof::xfwrite("xy", 1, 2, f), 2u);
+    errno = 0;
+    EXPECT_EQ(iof::xfflush(f), EOF);
+    EXPECT_EQ(errno, EIO);
+    EXPECT_EQ(iof::xfflush(f), 0);  // only call#1
+    EXPECT_EQ(iof::xfclose(f), 0);
+    EXPECT_EQ(fs::file_size(path("a")), 2u);
+}
+
+TEST_F(IoFaultTest, XopenFaultReturnsMinusOneAndCreatesNothing)
+{
+    iof::install("open:enfile@#1");
+    errno = 0;
+    EXPECT_EQ(iof::xopen(path("lock").c_str(),
+                         O_CREAT | O_RDWR | O_CLOEXEC, 0644),
+              -1);
+    EXPECT_EQ(errno, ENFILE);
+    EXPECT_FALSE(fs::exists(path("lock")));
+    const int fd = iof::xopen(path("lock").c_str(),
+                              O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    EXPECT_GE(fd, 0);
+    if (fd >= 0)
+        ::close(fd);
+    EXPECT_TRUE(fs::exists(path("lock")));
+}
+
 TEST_F(IoFaultTest, InjectedEintrIsConsumedByRetryWrappers)
 {
     int fds[2];
@@ -359,34 +421,10 @@ TEST_F(IoFaultTest, RunCacheShortReadIsACleanRecomputableMiss)
 }
 
 // ---------------------------------------------------------------
-// Journal write failure + resume from the surviving prefix.
+// A failed store costs a recompute on the rerun, never bytes.
 // ---------------------------------------------------------------
 
-TEST_F(IoFaultTest, JournalOpenFailureIsAStructuredDiagnostic)
-{
-    iof::install("open:emfile@#1");
-    sweep::Journal j;
-    j.open(path("j.jsonl"), /*keep=*/false);
-    EXPECT_FALSE(j.active());
-    EXPECT_EQ(j.failure(), "open-failed: " + path("j.jsonl"));
-}
-
-TEST_F(IoFaultTest, JournalWriteFailureDisablesAndReports)
-{
-    sweep::Journal j;
-    j.open(path("j.jsonl"), /*keep=*/false);
-    ASSERT_TRUE(j.active());
-    j.begin("t", "salt1", false);
-    EXPECT_TRUE(j.failure().empty());
-    iof::install("flush:eio@#1+");
-    j.started("aaaa", 1);
-    EXPECT_FALSE(j.active());
-    EXPECT_EQ(j.failure(), "write-failed: " + path("j.jsonl"));
-    // Further appends are silent no-ops, not crashes.
-    j.started("bbbb", 1);
-}
-
-/** Build the 3-point sweep used by the resume tests. */
+/** Build the 3-point sweep used by the rerun and supervisor tests. */
 void
 buildPoints(sweep::Sweep *s)
 {
@@ -398,45 +436,46 @@ buildPoints(sweep::Sweep *s)
     }
 }
 
-TEST_F(IoFaultTest, ResumeCompletesFromSurvivingJournalPrefix)
+TEST_F(IoFaultTest, RerunRecomputesOnlyThePointWhoseStoreFailed)
 {
-    sweep::Options opts;
-    opts.jobs = 1;
-    opts.cache = false;
-    opts.isolate = true;
-    opts.maxAttempts = 1;
-    opts.journalPath = path("j.jsonl");
-    opts.salt = "iofault-test-salt";
+    for (const bool isolate : {false, true}) {
+        const std::string cacheDir =
+            path(isolate ? "rc-isolated" : "rc-inproc");
+        sweep::Options opts;
+        opts.jobs = 1;
+        opts.cacheDir = cacheDir;
+        opts.isolate = isolate;
+        opts.maxAttempts = 1;
+        opts.salt = "iofault-test-salt";
 
-    // Run 1: the journal's fflush dies mid-run — after point p0's
-    // `finished` record (line 6: header, 3×queued, started p0,
-    // finished p0) but before p1's. Worker pipe I/O rides kWrite,
-    // not kFlush, so only the journal is hit.
-    std::string out1;
-    {
-        sweep::Sweep s("iofault-resume", opts);
+        // Run 1: the second store's rename fails (points store in
+        // declaration order at jobs 1, so that is p1's entry). Only
+        // the parent renames, so worker I/O is not hit.
+        std::string out1;
+        {
+            sweep::Sweep s("iofault-rerun", opts);
+            buildPoints(&s);
+            iof::install("rename:eio@#2");
+            sweep::Sweep::Report rep;
+            out1 = s.renderToString(&rep);
+            iof::reset();
+            EXPECT_TRUE(rep.clean());  // outputs complete regardless
+            EXPECT_EQ(rep.cacheStores, 2u);
+            EXPECT_FALSE(rep.cacheDegraded);
+        }
+        EXPECT_EQ(out1, "p0-out\np1-out\np2-out\n");
+
+        // Run 2: the same command computes p1 alone.
+        sweep::Sweep s("iofault-rerun", opts);
         buildPoints(&s);
-        iof::install("flush:eio@#7");
         sweep::Sweep::Report rep;
-        out1 = s.renderToString(&rep);
-        iof::reset();
-        EXPECT_TRUE(rep.clean());  // outputs complete regardless
-        EXPECT_EQ(rep.journalError,
-                  "write-failed: " + opts.journalPath);
+        const std::string out2 = s.renderToString(&rep);
+        EXPECT_TRUE(rep.clean());
+        EXPECT_EQ(rep.cacheHits, 2u) << "isolate=" << isolate;
+        EXPECT_EQ(rep.cacheStores, 1u) << "isolate=" << isolate;
+        EXPECT_EQ(out2, out1);
+        EXPECT_EQ(countFiles(".tmp"), 0u);
     }
-    EXPECT_EQ(out1, "p0-out\np1-out\np2-out\n");
-
-    // Run 2: --resume completes from the surviving prefix — p0
-    // replays from the journal, p1/p2 recompute, bytes identical.
-    opts.resume = true;
-    sweep::Sweep s("iofault-resume", opts);
-    buildPoints(&s);
-    sweep::Sweep::Report rep;
-    const std::string out2 = s.renderToString(&rep);
-    EXPECT_TRUE(rep.clean());
-    EXPECT_TRUE(rep.journalError.empty());
-    EXPECT_EQ(rep.resumedPoints, 1u);
-    EXPECT_EQ(out2, out1);
 }
 
 // ---------------------------------------------------------------

@@ -165,6 +165,26 @@ TEST(Slowdown, StudyCachesBaselines)
     EXPECT_LT(s, 100.0);
 }
 
+TEST(Slowdown, StudyMatchesDirectRunsOnTheSameSeed)
+{
+    // A study seeded with s runs exactly runWorkload(w, platform, s)
+    // for both the Local baseline and the test setup, so a bench
+    // may swap its own runs for the study's memo byte for byte.
+    workloads::WorkloadProfile w = workloads::byName("605.mcf_s");
+    w.blocksPerCore = 2000;
+    const auto local =
+        melody::runWorkload(w, Platform("EMR2S", "Local"), 71);
+    const auto cxl =
+        melody::runWorkload(w, Platform("EMR2S", "CXL-B"), 71);
+    melody::SlowdownStudy study(71);
+    const auto &base = study.baseline(w, "EMR2S");
+    EXPECT_EQ(base.wallTicks, local.wallTicks);
+    EXPECT_EQ(base.backendStats.reads, local.backendStats.reads);
+    EXPECT_EQ(study.slowdown(w, "EMR2S", "CXL-B"),
+              melody::slowdownPct(local, cxl));
+    EXPECT_EQ(study.baselineRuns(), 1u);
+}
+
 TEST(Slowdown, StudyKeysBaselinesBySeed)
 {
     // runWorkload draws the kernel stream and backend seed from

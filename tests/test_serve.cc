@@ -1102,8 +1102,6 @@ TEST(ServeFigures, ResponseMatchesOfflineRenderByteForByte)
     ASSERT_NE(fig, nullptr);
     sweep::Options opts = sweep::optionsFromEnv();
     opts.isolate = false;
-    opts.resume = false;
-    opts.journalPath.clear();
     sweep::Sweep offline("melody-serve", opts);
     offline.scope(fig->binary);
     fig->build(offline);

@@ -4,9 +4,8 @@
  * output vs the in-process engine for any job count, structured
  * failure causes for every crash class (SIGSEGV, SIGABRT, thrown
  * exception, premature exit, watchdog hang), retry accounting,
- * journal round trips, resumable runs that skip journaled-complete
- * points, runtime invariant plumbing, and the cache
- * stats/clear maintenance entry points.
+ * reruns that resume from the run cache, runtime invariant
+ * plumbing, and the cache stats/clear maintenance entry points.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <stdexcept>
@@ -31,9 +31,9 @@
 #include "bench/figures.hh"
 #include "sim/interrupt.hh"
 #include "sim/invariants.hh"
-#include "sim/journal.hh"
 #include "sim/logging.hh"
 #include "sim/run_cache.hh"
+#include "sim/supervisor.hh"
 #include "sim/sweep.hh"
 
 using namespace cxlsim;
@@ -47,16 +47,6 @@ freshDir(const char *leaf)
     const fs::path d = fs::path(testing::TempDir()) / leaf;
     fs::remove_all(d);
     return d.string();
-}
-
-std::string
-freshJournal(const char *leaf)
-{
-    namespace fs = std::filesystem;
-    const fs::path p =
-        fs::path(testing::TempDir()) / (std::string(leaf) + ".jsonl");
-    fs::remove(p);
-    return p.string();
 }
 
 sweep::Options
@@ -75,8 +65,9 @@ enum class Victim { kOk, kSegv, kAbort, kThrow, kExit, kHang };
 /**
  * Synthetic sweep with two healthy points on either side of one
  * configurable victim, plus a gather over the victim's slot. If
- * @p trapSurvivors, the healthy points segfault too — used by the
- * resume tests to prove journaled points are never re-executed.
+ * @p trapSurvivors, the healthy points throw — used by the resume
+ * tests to prove cached points are never re-executed. A throw (not
+ * a crash) fails an in-process rerun without killing the test.
  */
 void
 buildVictimSweep(sweep::Sweep &s, Victim mode,
@@ -88,10 +79,9 @@ buildVictimSweep(sweep::Sweep &s, Victim mode,
     for (int k = 0; k < 2; ++k)
         s.point("pre k=" + std::to_string(k),
                 [k, trapSurvivors](sweep::Emit &e) {
-                    if (trapSurvivors) {
-                        volatile int *p = nullptr;
-                        *p = 1;  // must never run under --resume
-                    }
+                    if (trapSurvivors)
+                        throw std::runtime_error(
+                            "survivor re-executed");
                     e.printf("pre %d = %d\n", k, k * k);
                 });
     const std::size_t victim =
@@ -137,10 +127,9 @@ buildVictimSweep(sweep::Sweep &s, Victim mode,
     for (int k = 0; k < 2; ++k)
         s.point("post k=" + std::to_string(k),
                 [k, trapSurvivors](sweep::Emit &e) {
-                    if (trapSurvivors) {
-                        volatile int *p = nullptr;
-                        *p = 1;
-                    }
+                    if (trapSurvivors)
+                        throw std::runtime_error(
+                            "survivor re-executed");
                     e.printf("post %d = %d\n", k, k * k * k);
                 });
     s.gather(s.slotsOf(victim),
@@ -445,281 +434,237 @@ TEST(Supervisor, SecondInterruptKillsInFlightWorkers)
 }
 
 // ---------------------------------------------------------------
-// Journal: lifecycle records, load(), resume, salt guard.
+// Resuming = rerunning against the run cache. Isolated runs store
+// each point the moment its worker reports back, so a rerun of a
+// crashed or interrupted run recomputes only what never finished.
 // ---------------------------------------------------------------
 
-TEST(Journal, RecordsLifecycleAndLoadsBack)
+namespace {
+
+/** Isolated options with the run cache on, in @p dir. */
+sweep::Options
+isolatedCached(const std::string &dir)
 {
-    const std::string path = freshJournal("journal-lifecycle");
     sweep::Options o = isolated();
-    o.jobs = 2;
-    o.journalPath = path;
-    o.salt = "journal-test-salt";
+    o.jobs = 4;
+    o.cache = true;
+    o.cacheDir = dir;
+    return o;
+}
+
+}  // namespace
+
+TEST(Supervisor, CrashedIsolatedRunResumesFromRunCache)
+{
+    const std::string dir = freshDir("resume-isolated");
+
+    // Run 1: the victim segfaults; the four survivors are stored.
+    sweep::Sweep::Report rep1;
+    renderVictim(isolatedCached(dir), Victim::kSegv, &rep1);
+    ASSERT_EQ(rep1.failures.size(), 1u);
+    EXPECT_EQ(rep1.cacheStores, 4u);
+
+    // Run 2: the same command, with every survivor booby-trapped
+    // to throw if re-executed. A clean report proves the cache
+    // (not recomputation) supplied their bytes.
+    sweep::Sweep::Report rep2;
+    const std::string out =
+        renderVictim(isolatedCached(dir), Victim::kOk, &rep2,
+                     /*trapSurvivors=*/true);
+    EXPECT_TRUE(rep2.clean());
+    EXPECT_EQ(rep2.cacheHits, 4u);
+    EXPECT_EQ(rep2.cacheStores, 1u);
+
+    // The resumed output is byte-identical to a fully clean run.
+    EXPECT_EQ(out, renderVictim(isolated(), Victim::kOk));
+}
+
+TEST(Supervisor, InProcessRerunResumesFromIsolatedRunCache)
+{
+    const std::string dir = freshDir("resume-inproc");
+    sweep::Sweep::Report rep1;
+    renderVictim(isolatedCached(dir), Victim::kSegv, &rep1);
+    ASSERT_EQ(rep1.failures.size(), 1u);
+
+    // The rerun needs no --isolate: the in-process engine reads
+    // the same cache. The trap throws rather than segfaults, so a
+    // survivor recomputed here fails the test instead of killing
+    // the test binary.
+    sweep::Options inproc = isolatedCached(dir);
+    inproc.isolate = false;
+    sweep::Sweep::Report rep2;
+    std::string out;
+    EXPECT_NO_THROW(out = renderVictim(inproc, Victim::kOk, &rep2,
+                                       /*trapSurvivors=*/true));
+    EXPECT_TRUE(rep2.clean());
+    EXPECT_EQ(rep2.cacheHits, 4u);
+    EXPECT_EQ(out, renderVictim(isolated(), Victim::kOk));
+}
+
+TEST(Supervisor, SaltBumpMissesEveryCachedPoint)
+{
+    const std::string dir = freshDir("resume-salt");
+    sweep::Options one = isolatedCached(dir);
+    one.salt = "salt-one";
+    const std::string want = renderVictim(one, Victim::kOk);
+
+    // A new salt orphans every entry: all five points recompute.
+    sweep::Options two = isolatedCached(dir);
+    two.salt = "salt-two";
+    sweep::Sweep::Report rep;
+    EXPECT_EQ(renderVictim(two, Victim::kOk, &rep), want);
+    EXPECT_EQ(rep.cacheHits, 0u);
+    EXPECT_EQ(rep.cacheStores, 5u);
+
+    // The old salt's entries are still there, and still whole.
+    sweep::Sweep::Report back;
+    EXPECT_EQ(renderVictim(one, Victim::kOk, &back,
+                           /*trapSurvivors=*/true),
+              want);
+    EXPECT_TRUE(back.clean());
+    EXPECT_EQ(back.cacheHits, 5u);
+}
+
+TEST(Supervisor, InterruptedRunResumesFromRunCache)
+{
+    // The point that was in flight when the signal landed is
+    // reaped and stored; the rerun takes it from the cache and
+    // computes only the three points the interrupt cut.
+    const std::string dir = freshDir("resume-interrupt");
+    const auto build = [](sweep::Sweep &s, bool signal) {
+        s.scope("interrupt-resume");
+        for (int k = 0; k < 4; ++k)
+            s.point("p" + std::to_string(k),
+                    [k, signal](sweep::Emit &e) {
+                        if (signal) {
+                            ::kill(::getppid(), SIGINT);
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(300));
+                        }
+                        e.printf("point %d done\n", k);
+                    });
+    };
+    sweep::Options o = isolatedCached(dir);
+    o.jobs = 1;
+
+    sim::installInterruptHandlers();
+    sweep::Sweep::Report rep1;
+    {
+        sweep::Sweep s("test-interrupt-resume", o);
+        build(s, true);
+        s.renderToString(&rep1);
+    }
+    sim::resetInterruptHandlers();
+    ASSERT_EQ(rep1.failures.size(), 3u);
+    EXPECT_EQ(rep1.cacheStores, 1u);
+
+    sweep::Sweep s("test-interrupt-resume", o);
+    build(s, false);
+    sweep::Sweep::Report rep2;
+    const std::string out = s.renderToString(&rep2);
+    EXPECT_TRUE(rep2.clean());
+    EXPECT_EQ(rep2.cacheHits, 1u);
+    EXPECT_EQ(rep2.cacheStores, 3u);
+    EXPECT_EQ(out, "point 0 done\npoint 1 done\n"
+                   "point 2 done\npoint 3 done\n");
+}
+
+TEST(Supervisor, NoCacheRunPersistsNothing)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = freshDir("resume-nocache");
+    sweep::Options o = isolatedCached(dir);
+    o.cache = false;
     sweep::Sweep::Report rep;
     renderVictim(o, Victim::kSegv, &rep);
     ASSERT_EQ(rep.failures.size(), 1u);
-
-    const std::string text = slurp(path);
-    EXPECT_NE(text.find("\"event\":\"sweep\""), std::string::npos);
-    EXPECT_NE(text.find("\"salt\":\"journal-test-salt\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"queued\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"started\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"finished\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"failed\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"final\":true"), std::string::npos);
-
-    // load() surfaces the four completions, not the failure.
-    std::map<std::string, std::vector<std::string>> done;
-    std::string err;
-    ASSERT_TRUE(sweep::Journal::load(path, "journal-test-salt",
-                                     &done, &err))
-        << err;
-    EXPECT_EQ(done.size(), 4u);
-
-    // A different salt refuses the whole journal.
-    done.clear();
-    EXPECT_FALSE(
-        sweep::Journal::load(path, "other-salt", &done, &err));
-    EXPECT_NE(err.find("salt"), std::string::npos);
+    EXPECT_EQ(rep.cacheStores, 0u);
+    EXPECT_FALSE(fs::exists(dir));
 }
 
-TEST(Journal, LoadIgnoresTornTrailingLine)
-{
-    const std::string path = freshJournal("journal-torn");
-    sweep::Options o = isolated();
-    o.jobs = 1;
-    o.journalPath = path;
-    o.salt = "torn-salt";
-    renderVictim(o, Victim::kOk);
+// ---------------------------------------------------------------
+// runSupervised() directly: one success callback, failures in the
+// report.
+// ---------------------------------------------------------------
 
-    // Simulate a crash mid-append: a partial JSON line with no
-    // trailing newline must be skipped, not fail the load.
-    {
-        std::ofstream f(path, std::ios::binary | std::ios::app);
-        f << "{\"event\":\"finished\",\"hash\":\"dead";
-    }
-    std::map<std::string, std::vector<std::string>> done;
-    std::string err;
-    ASSERT_TRUE(
-        sweep::Journal::load(path, "torn-salt", &done, &err))
-        << err;
-    EXPECT_EQ(done.size(), 5u);
+namespace {
+
+using PointFn = std::function<void(sweep::Emit *)>;
+
+/** Tasks for @p fns with caller indices 10, 11, 12, ... */
+std::vector<sweep::SupervisorTask>
+tasksFor(const std::vector<PointFn> &fns)
+{
+    std::vector<sweep::SupervisorTask> tasks;
+    for (std::size_t i = 0; i < fns.size(); ++i)
+        tasks.push_back(
+            {10 + i, "task" + std::to_string(i), 1, &fns[i]});
+    return tasks;
 }
 
-TEST(Journal, LastFinishedRecordWinsAndFailuresAreNotCompletions)
-{
-    const std::string path = freshJournal("journal-direct");
-    {
-        sweep::Journal j;
-        j.open(path, false);
-        ASSERT_TRUE(j.active());
-        j.begin("direct", "direct-salt", false);
-        j.queued("aaaa", 0, "point-a");
-        j.queued("bbbb", 1, "point-b");
-        j.started("aaaa", 1);
-        j.finished("aaaa", 1, {"old"});
-        j.started("aaaa", 2);
-        j.finished("aaaa", 2, {"new", "rows"});
-        j.started("bbbb", 1);
-        j.failed("bbbb", 1, "signal SIGSEGV", true);
-        EXPECT_TRUE(j.failure().empty());
-    }
-    std::map<std::string, std::vector<std::string>> done;
-    std::string err;
-    ASSERT_TRUE(
-        sweep::Journal::load(path, "direct-salt", &done, &err))
-        << err;
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done["aaaa"],
-              (std::vector<std::string>{"new", "rows"}));
-}
+}  // namespace
 
-TEST(Journal, ArbitraryBytesInSlotsKeysAndSaltRoundTrip)
+TEST(Supervisor, OnSuccessFiresOncePerSucceededTask)
 {
-    // A key holding a newline and a forged `finished` record must
-    // stay inside its own escaped line, never become a completion.
-    const std::string path = freshJournal("journal-bytes");
-    const std::string salt = "salt \"quoted\" \\ tab\t";
-    const std::vector<std::string> slots = {
-        "line1\nline2\n", std::string("\0\xff\"\\", 4), ""};
-    {
-        sweep::Journal j;
-        j.open(path, false);
-        j.begin("bytes", salt, false);
-        j.queued("ffff", 0,
-                 "k\n{\"event\":\"finished\",\"hash\":\"ffff\","
-                 "\"slots_hex\":\"300a\"}");
-        j.finished("aaaa", 1, slots);
-    }
-    std::map<std::string, std::vector<std::string>> done;
-    std::string err;
-    ASSERT_TRUE(sweep::Journal::load(path, salt, &done, &err))
-        << err;
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done["aaaa"], slots);
-}
-
-TEST(Journal, KeepAppendsWhileTruncateStartsOver)
-{
-    const std::string path = freshJournal("journal-keep");
-    const auto write = [&](bool keep, const char *hash) {
-        sweep::Journal j;
-        j.open(path, keep);
-        j.begin("keep", "keep-salt", keep);
-        j.finished(hash, 1, {hash});
+    const std::vector<PointFn> fns = {
+        [](sweep::Emit *s) { s[0].text("a\n"); },
+        [](sweep::Emit *) { throw std::runtime_error("bad"); },
+        [](sweep::Emit *s) { s[0].text("c\n"); },
     };
-    const auto load = [&] {
-        std::map<std::string, std::vector<std::string>> done;
-        std::string err;
-        EXPECT_TRUE(
-            sweep::Journal::load(path, "keep-salt", &done, &err))
-            << err;
-        return done;
-    };
+    sweep::SupervisorConfig cfg;
+    cfg.jobs = 2;
+    cfg.maxAttempts = 2;
+    std::map<std::size_t, std::vector<std::string>> got;
+    std::size_t calls = 0;
+    const sweep::SupervisorReport rep = sweep::runSupervised(
+        tasksFor(fns), cfg,
+        [&](std::size_t index, std::vector<std::string> slots,
+            std::vector<sim::InvariantViolation> violations) {
+            ++calls;
+            EXPECT_TRUE(violations.empty());
+            got[index] = std::move(slots);
+        });
 
-    write(false, "aaaa");
-    write(true, "bbbb");
-    auto done = load();
-    EXPECT_EQ(done.size(), 2u);
-    EXPECT_EQ(done.count("aaaa"), 1u);
-    EXPECT_EQ(done.count("bbbb"), 1u);
-
-    write(false, "cccc");
-    done = load();
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done.count("cccc"), 1u);
+    EXPECT_EQ(calls, 2u);
+    EXPECT_EQ(got[10], (std::vector<std::string>{"a\n"}));
+    EXPECT_EQ(got[12], (std::vector<std::string>{"c\n"}));
+    EXPECT_EQ(got.count(11), 0u);
+    EXPECT_EQ(rep.launched, 4u);  // three first attempts + 1 retry
+    EXPECT_EQ(rep.retries, 1u);
+    ASSERT_EQ(rep.failures.size(), 1u);
+    EXPECT_EQ(rep.failures[0].index, 11u);
+    EXPECT_EQ(rep.failures[0].attempts, 2u);
+    EXPECT_EQ(rep.failures[0].cause, "exception: bad");
 }
 
-TEST(Journal, LoadRejectsMissingFileAndMissingOrMalformedHeader)
+TEST(Supervisor, FailuresAreSortedByTaskIndexWhateverTheFinishOrder)
 {
-    std::map<std::string, std::vector<std::string>> done;
-    std::string err;
-    const std::string missing = freshJournal("journal-missing");
-    EXPECT_FALSE(sweep::Journal::load(missing, "s", &done, &err));
-    EXPECT_NE(err.find("cannot read"), std::string::npos) << err;
-
-    // A journal that never opened writes nothing and reports no
-    // failure: journaling is simply off.
-    sweep::Journal off;
-    EXPECT_FALSE(off.active());
-    off.begin("off", "s", false);
-    EXPECT_TRUE(off.failure().empty());
-
-    const std::string headless = freshJournal("journal-headless");
-    {
-        sweep::Journal j;
-        j.open(headless, false);
-        j.finished("aaaa", 1, {"x"});
+    // The lower the index, the later the task dies, so completion
+    // order is the reverse of index order.
+    std::vector<PointFn> fns;
+    for (int i = 0; i < 4; ++i)
+        fns.push_back([i](sweep::Emit *) {
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(60 * (4 - i)));
+            std::_Exit(20 + i);
+        });
+    sweep::SupervisorConfig cfg;
+    cfg.jobs = 4;
+    cfg.maxAttempts = 1;
+    const sweep::SupervisorReport rep = sweep::runSupervised(
+        tasksFor(fns), cfg,
+        [](std::size_t, std::vector<std::string>,
+           std::vector<sim::InvariantViolation>) {
+            ADD_FAILURE() << "no task should succeed";
+        });
+    ASSERT_EQ(rep.failures.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(rep.failures[i].index, 10 + i);
+        EXPECT_EQ(rep.failures[i].cause,
+                  "exit-code " + std::to_string(20 + i));
+        EXPECT_EQ(rep.failures[i].attempts, 1u);
     }
-    err.clear();
-    EXPECT_FALSE(sweep::Journal::load(headless, "s", &done, &err));
-    EXPECT_NE(err.find("no sweep header"), std::string::npos) << err;
-
-    const std::string saltless = freshJournal("journal-saltless");
-    {
-        std::ofstream f(saltless, std::ios::binary);
-        f << "{\"event\":\"sweep\",\"name\":\"x\"}\n";
-    }
-    err.clear();
-    EXPECT_FALSE(sweep::Journal::load(saltless, "s", &done, &err));
-    EXPECT_NE(err.find("malformed header"), std::string::npos) << err;
-}
-
-TEST(Supervisor, ResumeSkipsJournaledPoints)
-{
-    const std::string path = freshJournal("journal-resume");
-
-    // Run 1: the victim segfaults; everything else completes and
-    // is journaled.
-    sweep::Options first = isolated();
-    first.jobs = 4;
-    first.journalPath = path;
-    sweep::Sweep::Report rep1;
-    renderVictim(first, Victim::kSegv, &rep1);
-    ASSERT_EQ(rep1.failures.size(), 1u);
-
-    // Run 2: --resume with every survivor booby-trapped to
-    // segfault if re-executed. A clean report proves the journal
-    // (not recomputation) supplied their bytes.
-    sweep::Options second = isolated();
-    second.jobs = 4;
-    second.resume = true;
-    second.journalPath = path;
-    sweep::Sweep::Report rep2;
-    const std::string out = renderVictim(
-        second, Victim::kOk, &rep2, /*trapSurvivors=*/true);
-    EXPECT_TRUE(rep2.clean());
-    EXPECT_EQ(rep2.resumedPoints, 4u);
-
-    // The resumed output is byte-identical to a fully clean run.
-    sweep::Options clean = isolated();
-    EXPECT_EQ(out, renderVictim(clean, Victim::kOk));
-}
-
-TEST(Supervisor, ResumeReadsJournalWithElapsedField)
-{
-    // Journals written before the sweep stopped timing points carry
-    // an "elapsed_us" field in every finished record. --resume must
-    // still take every such point from the journal.
-    const std::string path = freshJournal("journal-elapsed");
-    sweep::Options first = isolated();
-    first.jobs = 2;
-    first.journalPath = path;
-    const std::string want = renderVictim(first, Victim::kOk);
-
-    std::string text = slurp(path);
-    const std::string field = "\"slots_hex\":";
-    const std::string stamp = "\"elapsed_us\":1234567,";
-    std::size_t patched = 0;
-    for (std::size_t at = text.find(field); at != std::string::npos;
-         at = text.find(field, at + stamp.size() + field.size())) {
-        text.insert(at, stamp);
-        ++patched;
-    }
-    ASSERT_EQ(patched, 5u);
-    {
-        std::ofstream f(path, std::ios::binary | std::ios::trunc);
-        f << text;
-    }
-
-    sweep::Options second = isolated();
-    second.jobs = 2;
-    second.resume = true;
-    second.journalPath = path;
-    sweep::Sweep::Report rep;
-    const std::string out = renderVictim(
-        second, Victim::kSegv, &rep, /*trapSurvivors=*/true);
-    EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(rep.resumedPoints, 5u);
-    EXPECT_EQ(out, want);
-}
-
-TEST(Supervisor, ResumeWithoutJournalPathIsAConfigError)
-{
-    sweep::Options o = isolated();
-    o.resume = true;
-    o.journalPath.clear();
-    EXPECT_THROW(renderVictim(o, Victim::kOk), ConfigError);
-}
-
-TEST(Supervisor, ResumeRefusesSaltMismatch)
-{
-    const std::string path = freshJournal("journal-salt");
-    sweep::Options first = isolated();
-    first.journalPath = path;
-    first.salt = "salt-one";
-    renderVictim(first, Victim::kOk);
-
-    sweep::Options second = isolated();
-    second.resume = true;
-    second.journalPath = path;
-    second.salt = "salt-two";
-    EXPECT_THROW(renderVictim(second, Victim::kOk), ConfigError);
+    EXPECT_EQ(rep.retries, 0u);
 }
 
 // ---------------------------------------------------------------
