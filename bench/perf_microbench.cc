@@ -44,7 +44,7 @@ BENCHMARK(BM_CacheLookup);
 
 /**
  * BM_CacheLookup at the size figures run: EMR's 160 MB LLC, freshly
- * built and preloaded to 0.7 of capacity as MultiCore does, probed
+ * built and filled to 0.7 of capacity as MultiCore does, probed
  * at random over the whole capacity. Its working set is far past
  * the host's caches and TLB reach, which is what huge pages buy.
  */
@@ -54,9 +54,8 @@ BM_CacheLookupLlc(benchmark::State &state)
     const cpu::CacheGeometry g = cpu::emr().l3;
     cpu::Cache cache(g.sizeBytes, g.ways);
     const std::uint64_t lines = g.sizeBytes / kCacheLineBytes;
-    for (std::uint64_t i = 0; i < lines * 7 / 10; ++i)
-        cache.insert(i * kCacheLineBytes, 0, cpu::StallTag::kL3,
-                     false);
+    const LineRange warm{0, lines * 7 / 10};
+    cache.fill({&warm, 1}, cpu::StallTag::kL3);
     Rng rng(1);
     Tick ready;
     cpu::StallTag home;
@@ -68,6 +67,27 @@ BM_CacheLookupLlc(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheLookupLlc);
+
+/**
+ * Building one warm hierarchy, as every figure run does: MultiCore
+ * construction (kernels, caches, preload fill) for an 8-thread
+ * graph workload on EMR2S. After the first iteration the LLC is
+ * built on the arrays the previous one left to this thread.
+ */
+static void
+BM_WarmHierarchy(benchmark::State &state)
+{
+    const auto w = workloads::byName("bfs-web");
+    melody::Platform plat("EMR2S", "Local");
+    auto be = plat.makeBackend(5);
+    for (auto _ : state) {
+        cpu::MultiCore mc(plat.cpu(), w.exec, be.get(),
+                          workloads::makeKernels(w));
+        benchmark::DoNotOptimize(&mc);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WarmHierarchy);
 
 static void
 BM_DramChannelAccess(benchmark::State &state)

@@ -9,19 +9,25 @@ Usage:
     # Record today's baseline (and report vs. the previous one):
     python3 scripts/run_bench.py
 
-    # Pre-merge perf gate: nonzero exit if any benchmark's
-    # throughput regressed more than --tolerance vs. the latest
-    # committed baseline. The run is written to a temp dir, so the
-    # baselines under --out-dir are never touched.
+    # Pre-merge perf gate: nonzero exit if any benchmark's median
+    # throughput regressed more than --tolerance plus the runs'
+    # noise vs. the latest committed baseline. The run is written
+    # to a temp dir, so the baselines under --out-dir are never
+    # touched.
     python3 scripts/run_bench.py --check
 
     # Compare two existing result files without running anything:
     python3 scripts/run_bench.py --compare OLD.json NEW.json
 
-Throughput is taken from ``items_per_second`` when the benchmark
-reports it (all of ours do), else from 1/real_time. A regression is
-``new < old * (1 - tolerance)``; improvements are reported but never
-fail the gate. Entries are keyed on their full benchmark name.
+Each benchmark runs REPETITIONS times. Throughput is taken from
+``items_per_second`` when the benchmark reports it (all of ours do),
+else from 1/real_time, and a run's throughput is the median over its
+repetitions. A benchmark regressed when that median fell by more than
+the tolerance plus the run's own noise: the larger relative spread
+(max - min over median) of the two runs' repetitions. So a noisy host
+widens the gate instead of failing it, while a slowdown larger than
+the noise still fails. Improvements are reported but never fail the
+gate. Entries are keyed on their full benchmark name.
 
 Recording refuses binaries built without optimization: the benchmark
 embeds ``cxlsim_build_type`` in its JSON context and anything other
@@ -56,6 +62,9 @@ DEFAULT_MELODY = os.path.join(REPO_ROOT, "build", "tools", "melody")
 #: Build types whose numbers are comparable across runs.
 OPTIMIZED_BUILD_TYPES = ("release", "relwithdebinfo")
 
+#: Runs of each benchmark; the verdict compares their medians.
+REPETITIONS = 5
+
 
 def throughput(entry):
     """Items/sec for one google-benchmark JSON entry."""
@@ -70,22 +79,30 @@ def load_json(path):
         return json.load(f)
 
 
-def iteration_entries(data):
-    """name -> entry for one loaded result document."""
+def load_results(path):
+    """name -> throughputs of its repetitions, in one result file."""
     out = {}
-    for b in data.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        out[b["name"]] = b
+    for b in load_json(path).get("benchmarks", []):
+        if b.get("run_type", "iteration") == "iteration":
+            out.setdefault(b["name"], []).append(throughput(b))
     return out
 
 
-def load_results(path):
-    return iteration_entries(load_json(path))
+def median(xs):
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
+
+
+def spread(xs):
+    """(max - min) / median of one run's repetitions."""
+    m = median(xs)
+    return (max(xs) - min(xs)) / m if m > 0 else 0.0
 
 
 def run_bench(bench, min_time, extra_args):
-    cmd = [bench, "--benchmark_format=json"]
+    cmd = [bench, "--benchmark_format=json",
+           f"--benchmark_repetitions={REPETITIONS}"]
     if min_time is not None:
         cmd.append(f"--benchmark_min_time={min_time}")
     cmd += extra_args
@@ -188,29 +205,28 @@ def compare(old_path, new_path, tolerance):
     regressions = []
     print(f"baseline: {old_path}")
     print(f"current:  {new_path}")
-    print(f"tolerance: {tolerance:.0%}\n")
+    print(f"tolerance: {tolerance:.0%} + noise\n")
     print(f"{'benchmark':<38} {'old it/s':>14} {'new it/s':>14} "
-          f"{'ratio':>7}  verdict")
-    for key, entry in new.items():
-        name = entry["name"]
-        cur = throughput(entry)
-        if key not in old:
-            print(f"{name:<38} {'-':>14} {cur:>14.3e} {'-':>7}  new")
+          f"{'ratio':>7} {'noise':>6}  verdict")
+    for name, cur in new.items():
+        if name not in old:
+            print(f"{name:<38} {'-':>14} {median(cur):>14.3e} "
+                  f"{'-':>7} {'-':>6}  new")
             continue
-        base = throughput(old[key])
-        ratio = cur / base if base > 0 else float("inf")
-        if cur < base * (1.0 - tolerance):
+        base = median(old[name])
+        ratio = median(cur) / base if base > 0 else float("inf")
+        noise = max(spread(old[name]), spread(cur))
+        if ratio < 1.0 - tolerance - noise:
             verdict = "REGRESSED"
             regressions.append(name)
-        elif ratio > 1.0 + tolerance:
+        elif ratio > 1.0 + tolerance + noise:
             verdict = "improved"
         else:
             verdict = "ok"
-        print(f"{name:<38} {base:>14.3e} {cur:>14.3e} "
-              f"{ratio:>6.2f}x  {verdict}")
-    for key, entry in old.items():
-        if key not in new:
-            name = entry["name"]
+        print(f"{name:<38} {base:>14.3e} {median(cur):>14.3e} "
+              f"{ratio:>6.2f}x {noise:>6.0%}  {verdict}")
+    for name in old:
+        if name not in new:
             print(f"{name:<38} missing from current run: REGRESSED")
             regressions.append(name)
     return regressions
@@ -228,8 +244,8 @@ def main():
                          "BENCH_<date>.json here, --check compares "
                          "against the newest one here")
     ap.add_argument("--tolerance", type=float, default=0.15,
-                    help="allowed fractional slowdown "
-                         "(default 0.15)")
+                    help="allowed fractional slowdown of the median "
+                         "beyond the runs' noise (default 0.15)")
     ap.add_argument("--check", action="store_true",
                     help="exit nonzero if any benchmark regressed "
                          "vs. the latest baseline")

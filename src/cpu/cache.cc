@@ -2,6 +2,10 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "sim/logging.hh"
 
 namespace cxlsim::cpu {
@@ -16,9 +20,8 @@ allocZeroed(std::size_t bytes)
 {
     if (bytes < kHugePageBytes)
         return std::calloc(bytes, 1);
-    // Anonymous pages are zeroed lazily, like calloc's, so a
-    // 100s-of-MB LLC still costs O(1) to construct. The advice is a
-    // no-op where THP is disabled.
+    // Anonymous pages are zeroed lazily, like calloc's. The advice
+    // is a no-op where THP is disabled.
     void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED)
@@ -27,14 +30,60 @@ allocZeroed(std::size_t bytes)
     return p;
 }
 
+/**
+ * The huge-page arrays of the last Cache this thread destroyed, for
+ * the next Cache of the same geometry the thread builds. A null
+ * slot is an array that was small (calloc'd) or already taken.
+ */
+struct KeptArrays
+{
+    std::uint64_t sets = 0;
+    unsigned ways = 0;
+    void *arrays[3] = {};  // tags, meta, mru
+    std::size_t bytes[3] = {};
+
+    /** Move @p a into slot @p i if it is a huge-page array. */
+    template <typename Array>
+    void
+    keep(int i, Array &a)
+    {
+        if (a.get_deleter().bytes < kHugePageBytes)
+            return;
+        bytes[i] = a.get_deleter().bytes;
+        arrays[i] = a.release();
+    }
+
+    void
+    clear()
+    {
+        for (int i = 0; i < 3; ++i) {
+            if (arrays[i])
+                munmap(arrays[i], bytes[i]);
+            arrays[i] = nullptr;
+        }
+        sets = 0;
+        ways = 0;
+    }
+
+    ~KeptArrays() { clear(); }
+};
+
+thread_local KeptArrays t_kept;
+
 }  // namespace
 
 template <typename T>
-std::unique_ptr<T[], Cache::FreeDeleter>
-Cache::zeroedArray(std::size_t n)
+Cache::Array<T>
+Cache::allocArray(std::size_t n, void **kept, bool zero)
 {
     const std::size_t bytes = n * sizeof(T);
-    return {static_cast<T *>(allocZeroed(bytes)), FreeDeleter{bytes}};
+    void *p = *kept;
+    *kept = nullptr;
+    if (!p)
+        p = allocZeroed(bytes);
+    else if (zero)
+        std::memset(p, 0, bytes);
+    return {static_cast<T *>(p), FreeDeleter{bytes}};
 }
 
 void
@@ -47,14 +96,37 @@ Cache::FreeDeleter::operator()(void *p) const
 }
 
 Cache::Cache(std::uint64_t size_bytes, unsigned ways)
-    : sets_(size_bytes / (kCacheLineBytes * ways)), ways_(ways),
-      tags_(zeroedArray<Addr>(sets_ * ways_)),
-      meta_(zeroedArray<Meta>(sets_ * ways_)),
-      mru_(zeroedArray<std::uint8_t>(sets_))
+    : sets_(size_bytes / (kCacheLineBytes * ways)), ways_(ways)
 {
     SIM_ASSERT(sets_ >= 1, "cache too small");
     SIM_ASSERT(ways_ >= 1 && ways_ <= 255, "ways out of range");
+    KeptArrays &kept = t_kept;
+    void *none[3] = {};
+    void **slots = kept.arrays;
+    if (kept.sets != sets_ || kept.ways != ways_) {
+        slots = none;
+        // Meta is the largest array. A cache that maps huge pages
+        // unmaps kept arrays of another geometry first.
+        if (sets_ * ways_ * sizeof(Meta) >= kHugePageBytes)
+            kept.clear();
+    }
+    tags_ = allocArray<Addr>(sets_ * ways_, &slots[0], true);
+    meta_ = allocArray<Meta>(sets_ * ways_, &slots[1], false);
+    mru_ = allocArray<std::uint8_t>(sets_, &slots[2], true);
     SIM_ASSERT(tags_ && meta_ && mru_, "cache allocation failed");
+}
+
+Cache::~Cache()
+{
+    if (meta_.get_deleter().bytes < kHugePageBytes)
+        return;  // nothing huge to keep
+    KeptArrays &kept = t_kept;
+    kept.clear();
+    kept.sets = sets_;
+    kept.ways = ways_;
+    kept.keep(0, tags_);
+    kept.keep(1, meta_);
+    kept.keep(2, mru_);
 }
 
 int
@@ -144,6 +216,105 @@ Cache::insert(Addr line_addr, Tick ready_at, StallTag home, bool dirty)
     mb[victim].lruStamp = ++stamp_;
     mru_[set] = static_cast<std::uint8_t>(victim);
     return ev;
+}
+
+void
+Cache::fill(std::span<const LineRange> ranges, StallTag home)
+{
+    SIM_ASSERT(stamp_ == 0, "fill() needs an empty cache");
+    std::vector<LineRange> sorted;
+    for (const LineRange &r : ranges) {
+        SIM_ASSERT(r.first == lineAlign(r.first),
+                   "fill() range not line-aligned");
+        if (r.lines)
+            sorted.push_back(r);
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const LineRange &a, const LineRange &b) {
+                  return a.first < b.first;
+              });
+    for (std::size_t i = 1; i < sorted.size(); ++i)
+        SIM_ASSERT(sorted[i - 1].first +
+                           sorted[i - 1].lines * kCacheLineBytes <=
+                       sorted[i].first,
+                   "fill() ranges overlap");
+
+    // Inserting consecutive lines visits consecutive sets, so a
+    // range of n = q*sets + rem lines whose first line maps to set
+    // `start` puts q+1 lines into the rem sets from `start` on
+    // (cyclically) and q into the others. The k-th line to reach a
+    // set lands in way k mod ways_ (the empty ways fill in order,
+    // then LRU evicts the oldest way), and its stamp is its global
+    // insert index + 1. So a set's final state is its last ways_
+    // lines. Between the cuts at each range's `start` and
+    // `start + rem`, every set gets the same count from each range,
+    // so one plan (which range contributes how many survivors)
+    // serves a whole run of sets.
+    struct Range
+    {
+        Addr first;
+        std::uint64_t base;  ///< insert index of the first line
+        std::uint64_t q, rem, start;
+    };
+    std::vector<Range> rs;
+    std::vector<std::uint64_t> cuts = {0, sets_};
+    std::uint64_t total = 0;
+    for (const LineRange &r : ranges) {
+        const std::uint64_t start = (r.first / kCacheLineBytes) % sets_;
+        const std::uint64_t rem = r.lines % sets_;
+        rs.push_back({r.first, total, r.lines / sets_, rem, start});
+        cuts.push_back(start);
+        cuts.push_back((start + rem) % sets_);
+        total += r.lines;
+    }
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+    /** @p n survivors of @p r; @p off: range offset of the newest
+     *  one in the run's first set. */
+    struct Take
+    {
+        const Range *r;
+        std::uint64_t off, n;
+    };
+    std::vector<Take> plan;
+    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+        const std::uint64_t a = cuts[k];
+        std::uint64_t lines = 0;
+        for (const Range &r : rs)
+            lines += r.q + ((a + sets_ - r.start) % sets_ < r.rem);
+        if (!lines)
+            continue;
+        plan.clear();
+        std::uint64_t left = std::min<std::uint64_t>(lines, ways_);
+        for (auto r = rs.rbegin(); left && r != rs.rend(); ++r) {
+            const std::uint64_t off = (a + sets_ - r->start) % sets_;
+            const std::uint64_t c = r->q + (off < r->rem);
+            const std::uint64_t n = std::min(c, left);
+            if (n) {
+                plan.push_back({&*r, off + (c - 1) * sets_, n});
+                left -= n;
+            }
+        }
+        // No range's offset wraps inside the run: each `start` is a
+        // cut, so a set's offsets are the first set's plus the gap.
+        const auto newest = static_cast<unsigned>((lines - 1) % ways_);
+        for (std::uint64_t set = a; set < cuts[k + 1]; ++set) {
+            mru_[set] = static_cast<std::uint8_t>(newest);
+            unsigned way = newest;
+            for (const Take &t : plan) {
+                std::uint64_t off = t.off + (set - a);
+                for (std::uint64_t j = 0; j < t.n; ++j) {
+                    const std::size_t i = set * ways_ + way;
+                    tags_[i] = tagWord(t.r->first + off * kCacheLineBytes);
+                    meta_[i] = Meta{0, t.r->base + off + 1, home, false};
+                    off -= sets_;
+                    way = way ? way - 1 : ways_ - 1;
+                }
+            }
+        }
+    }
+    stamp_ = total;
 }
 
 void

@@ -17,11 +17,23 @@
  * packed into a single 8-byte word, so a 16-way set is two host
  * cachelines instead of ten), with an MRU-way first probe; the cold
  * per-line metadata (readyAt, LRU stamp, home, dirty) lives in a
- * parallel array that is only touched after a tag match. The
- * arrays come from lazily-zeroed pages, so multi-hundred-MB LLCs
- * cost no up-front zeroing; arrays of 2 MiB or more (LLC tags and
- * metadata) are mmap'd and advised onto transparent huge pages,
- * so first touch faults once per 2 MiB instead of once per 4 KiB.
+ * parallel array that is only touched after a tag match. Arrays of
+ * 2 MiB or more (LLC tags and metadata) are mmap'd and advised onto
+ * transparent huge pages, so first touch faults once per 2 MiB
+ * instead of once per 4 KiB; smaller ones come from calloc.
+ *
+ * Construction is not O(1): each thread keeps the huge-page arrays
+ * of the last Cache it destroyed, and the next Cache of the same
+ * geometry it builds takes them instead of faulting fresh pages.
+ * Their tags and MRU hints are re-zeroed (a linear memset); the
+ * metadata is not, since it is only read after a tag match. A
+ * Cache of another geometry unmaps the kept arrays before mapping
+ * its own, so a thread never holds more than its largest live
+ * cache did.
+ *
+ * fill() warms an empty cache in one pass: it writes the state that
+ * inserting every line of a few disjoint line ranges would leave,
+ * set by set, without replaying the inserts.
  */
 
 #ifndef CXLSIM_CPU_CACHE_HH
@@ -31,6 +43,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <type_traits>
 
 #include "cpu/counters.hh"
@@ -68,6 +81,12 @@ class Cache
      */
     Cache(std::uint64_t size_bytes, unsigned ways);
 
+    /** Hands its huge-page arrays to this thread (see above). */
+    ~Cache();
+
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
+
     /**
      * Look up @p line_addr at time @p now. Updates LRU on hit.
      *
@@ -89,6 +108,14 @@ class Cache
     Eviction insert(Addr line_addr, Tick ready_at, StallTag home,
                     bool dirty);
 
+    /**
+     * Warm an empty cache with every line of @p ranges, in order:
+     * the same tags, metadata, MRU hints and stamp counter as
+     * insert(line, 0, home, false) for each line would leave. The
+     * ranges must be line-aligned and pairwise disjoint.
+     */
+    void fill(std::span<const LineRange> ranges, StallTag home);
+
     /** Mark a present line dirty (store commit); no-op on miss. */
     void markDirty(Addr line_addr);
 
@@ -103,10 +130,13 @@ class Cache
     unsigned ways() const { return ways_; }
 
   private:
+    /** Read-only view of the raw state for white-box tests. */
+    friend struct CacheInspector;
+
     /**
      * Cold per-line state; read only after a tag match, so the
      * backing array needs no initialization (trivial type,
-     * written by insert() before any read).
+     * written by insert() or fill() before any read).
      */
     struct Meta
     {
@@ -133,25 +163,33 @@ class Cache
     /** Way holding @p line_addr in @p set, or -1. MRU-first probe. */
     int findWay(std::size_t set, Addr line_addr) const;
 
-    /** Frees zeroedArray() storage; how depends on its size. */
+    /** Frees allocArray() storage; how depends on its size. */
     struct FreeDeleter
     {
-        std::size_t bytes = 0;
+        // No default member initializer: GCC then rejects the
+        // default unique_ptr in Cache's constructor. unique_ptr
+        // value-initializes its deleter, so this reads 0 there.
+        std::size_t bytes;
         void operator()(void *p) const;
     };
-
-    /** @p n zeroed Ts, huge-page backed when large (see above). */
     template <typename T>
-    static std::unique_ptr<T[], FreeDeleter> zeroedArray(std::size_t n);
+    using Array = std::unique_ptr<T[], FreeDeleter>;
+
+    /**
+     * @p n Ts: this thread's kept array from @p kept when it holds
+     * one (re-zeroed if @p zero), else fresh zeroed pages.
+     */
+    template <typename T>
+    static Array<T> allocArray(std::size_t n, void **kept, bool zero);
 
     std::uint64_t sets_;
     unsigned ways_;
     /** sets_*ways_ probe words: tagWord(addr) or 0 when invalid. */
-    std::unique_ptr<Addr[], FreeDeleter> tags_;
+    Array<Addr> tags_;
     /** sets_*ways_ cold entries, parallel to tags_. */
-    std::unique_ptr<Meta[], FreeDeleter> meta_;
+    Array<Meta> meta_;
     /** Per-set most-recently-hit way (probe hint only). */
-    std::unique_ptr<std::uint8_t[], FreeDeleter> mru_;
+    Array<std::uint8_t> mru_;
     std::uint64_t stamp_ = 0;
 
     std::uint64_t hits_ = 0;

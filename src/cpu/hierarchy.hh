@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "cpu/cache.hh"
@@ -81,11 +82,13 @@ class MemoryHierarchy
                            unsigned stream_id, Tick now);
 
     /**
-     * Install a line as resident (ready at tick 0) in the core's
-     * L2 and the shared LLC — cache pre-warming for steady-state
-     * measurements.
+     * Cache pre-warming for steady-state measurements, on an empty
+     * hierarchy: every line of @p ranges[c] becomes resident (clean,
+     * ready at tick 0) in core c's L2, and every line of all the
+     * ranges, in core order, in the shared LLC. The ranges must be
+     * disjoint; one per core.
      */
-    void preload(unsigned core, Addr addr);
+    void warm(std::span<const LineRange> ranges);
 
     /**
      * Read-for-ownership for a store; returns the tick at which

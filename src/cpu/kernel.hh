@@ -15,7 +15,6 @@
 #define CXLSIM_CPU_KERNEL_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/types.hh"
 
@@ -61,19 +60,20 @@ class Kernel
     virtual bool next(Block *b) = 0;
 
     /**
-     * Enumerate cache lines that are resident at steady state.
-     * The runner pre-warms the hierarchy with them so short
+     * The cache lines resident at steady state, one contiguous
+     * range. The runner pre-warms the hierarchy with them so short
      * simulations measure steady-state behaviour instead of
      * cold-start misses. @p budget_bytes is roughly this core's
      * share of the LLC: a kernel whose working set fits should
-     * enumerate all of it (it would be LLC-resident in steady
-     * state); larger working sets enumerate only their hot set.
+     * return all of it (it would be LLC-resident in steady state);
+     * larger working sets return only their hot set. Ranges of
+     * different cores must not overlap.
      */
-    virtual void
-    forEachPreloadLine(const std::function<void(Addr)> &,
-                       std::uint64_t budget_bytes) const
+    virtual LineRange
+    preloadRange(std::uint64_t budget_bytes) const
     {
         (void)budget_bytes;
+        return {};
     }
 };
 

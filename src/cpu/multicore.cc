@@ -24,12 +24,13 @@ MultiCore::MultiCore(const CpuProfile &profile,
     const std::uint64_t preloadBudget = static_cast<std::uint64_t>(
         0.7 * static_cast<double>(profile.l3.sizeBytes) /
         static_cast<double>(kernels_.size()));
-    for (unsigned c = 0; c < kernels_.size(); ++c) {
-        kernels_[c]->forEachPreloadLine(
-            [&](Addr a) { hier_->preload(c, a); }, preloadBudget);
+    std::vector<LineRange> preload;
+    for (const auto &k : kernels_)
+        preload.push_back(k->preloadRange(preloadBudget));
+    hier_->warm(preload);
+    for (unsigned c = 0; c < kernels_.size(); ++c)
         cores_.push_back(std::make_unique<Core>(
             profile, exec, hier_.get(), c, kernels_[c].get()));
-    }
 }
 
 void

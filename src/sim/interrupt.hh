@@ -23,9 +23,12 @@
  * escalate: the first signal requests a graceful wind-down, a
  * second one (interruptCount() >= 2) means the user is done
  * waiting and in-flight work should be killed. Forked workers
- * restore SIG_DFL (sim/worker.cc does it for every child) so a
- * Ctrl-C against the process group kills them cleanly rather than
- * running the parent's handler against an inherited pipe.
+ * never run the parent's handler against an inherited pipe
+ * (sim/worker.cc resets it in every child): they ignore SIGINT
+ * while these handlers are installed, so a terminal Ctrl-C, which
+ * reaches the whole process group, lets in-flight points finish
+ * and reach the cache; a second signal or the watchdog SIGKILLs
+ * them. SIGTERM, and SIGINT without these handlers, stay default.
  */
 
 #ifndef CXLSIM_SIM_INTERRUPT_HH

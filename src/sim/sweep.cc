@@ -4,6 +4,7 @@
 #include <cstring>
 #include <exception>
 #include <map>
+#include <mutex>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -256,14 +257,9 @@ Sweep::compute(Report *report)
     else
         computeInProcess(pending, report);
 
-    // Phase 3: persist fresh results (isolated successes were
-    // stored the moment each worker reported back, so a later
-    // crash cannot lose them).
+    // Both paths of phase 2 store each success the moment it
+    // finishes, so a later crash, throw or kill cannot lose it.
     if (cache_) {
-        if (!opts_.isolate)
-            for (const std::size_t idx : pending)
-                cache_->store(points_[idx].key,
-                              points_[idx].slots);
         report->cacheHits = cache_->stats().hits;
         report->cacheStores = cache_->stats().stores;
         report->corruptEntries = cache_->stats().corrupt;
@@ -279,8 +275,11 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
     // closure writes only into its own pre-sized slot storage, so
     // scheduling cannot affect the rendered bytes. A throwing
     // closure is captured and re-thrown from the lowest point
-    // index so the failure is deterministic too.
+    // index so the failure is deterministic too. Each success is
+    // stored at once, one store at a time (RunCache is not
+    // thread-safe).
     std::vector<std::exception_ptr> errors(pending.size());
+    std::mutex storeMu;
     std::vector<sim::Invariants> invs(
         opts_.checkInvariants ? pending.size() : 0);
     parallelFor(
@@ -299,6 +298,10 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
             p.slots.reserve(p.nSlots);
             for (auto &s : slots)
                 p.slots.push_back(s.take());
+            if (cache_) {
+                const std::lock_guard<std::mutex> lock(storeMu);
+                cache_->store(p.key, p.slots);
+            }
         },
         opts_.jobs);
     for (const auto &err : errors)

@@ -60,6 +60,13 @@ lineAlign(Addr a)
     return a & ~static_cast<Addr>(kCacheLineBytes - 1);
 }
 
+/** @p lines consecutive cache lines starting at line @p first. */
+struct LineRange
+{
+    Addr first = 0;
+    std::uint64_t lines = 0;
+};
+
 /**
  * Ticks consumed by one CPU cycle at the given core frequency.
  *

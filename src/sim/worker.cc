@@ -41,12 +41,23 @@ signalName(int sig)
 runChild(const ForkWorker::Body &body,
          const std::vector<int> &closeInChild, int wfd)
 {
-    // Default SIGINT/SIGTERM, so a Ctrl-C against the process group
-    // kills the child cleanly. The shared wake pipe closes first:
-    // the reset drains it, and its bytes belong to the parent.
+    // A terminal Ctrl-C signals the whole process group. A parent
+    // with the interrupt handlers installed winds down on it: it
+    // lets the point in flight finish and reach the cache, and
+    // SIGKILLs it on a second signal or its watchdog. So the child
+    // ignores SIGINT then; otherwise SIGINT, like SIGTERM, is
+    // default and the child dies with its parent. The shared wake
+    // pipe closes first: the reset drains it, and its bytes belong
+    // to the parent.
+    struct sigaction inherited = {};
+    ::sigaction(SIGINT, nullptr, &inherited);
+    const bool parentWindsDown = inherited.sa_handler != SIG_DFL &&
+                                 inherited.sa_handler != SIG_IGN;
     if (interruptWakeFd() >= 0)
         ::close(interruptWakeFd());
     resetInterruptHandlers();
+    if (parentWindsDown)
+        ::signal(SIGINT, SIG_IGN);
     ::signal(SIGPIPE, SIG_IGN);
     for (const int fd : closeInChild)
         ::close(fd);

@@ -120,20 +120,15 @@ SyntheticKernel::nextStoreAddr()
     return a;
 }
 
-void
-SyntheticKernel::forEachPreloadLine(
-    const std::function<void(Addr)> &cb,
-    std::uint64_t budget_bytes) const
+LineRange
+SyntheticKernel::preloadRange(std::uint64_t budget_bytes) const
 {
-    if (partBytes_ <= budget_bytes) {
-        // The whole partition is LLC-resident at steady state.
-        for (Addr a = partBase_; a < partBase_ + partBytes_;
-             a += kCacheLineBytes)
-            cb(a);
-        return;
-    }
-    for (std::uint64_t l = 0; l < hotLines_; ++l)
-        cb(hotBase_ + l * kCacheLineBytes);
+    // The whole partition is LLC-resident at steady state when it
+    // fits the budget, else the hot region is.
+    if (partBytes_ <= budget_bytes)
+        return {lineAlign(partBase_),
+                (partBytes_ + kCacheLineBytes - 1) / kCacheLineBytes};
+    return {lineAlign(hotBase_), hotLines_};
 }
 
 bool

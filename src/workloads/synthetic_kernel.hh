@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -39,11 +38,9 @@ class SyntheticKernel : public cpu::Kernel
 
     bool next(cpu::Block *b) override;
 
-    /** The hot region — and, if it fits the budget, the whole
+    /** The hot region — or, if it fits the budget, the whole
      *  partition — is cache-resident at steady state. */
-    void forEachPreloadLine(const std::function<void(Addr)> &cb,
-                            std::uint64_t budget_bytes)
-        const override;
+    LineRange preloadRange(std::uint64_t budget_bytes) const override;
 
   private:
     const Phase &currentPhase() const;

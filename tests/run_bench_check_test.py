@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
-"""scripts/run_bench.py --check must never touch the baselines.
+"""scripts/run_bench.py --check: baselines and the noise-aware verdict.
 
-A fake benchmark binary reports a fixed throughput. The baseline
-directory holds an old baseline and one dated today:
+A fake benchmark binary reports fixed throughputs, one per
+repetition. The baseline directory holds an old baseline and one
+dated today:
 
   - ``--check`` compares against today's baseline (the newest), so
     the slower fake run is a regression (exit 1), and the directory
     is left byte-for-byte as it was;
   - recording mode (no ``--check``) still writes BENCH_<today>.json
     into the directory and reports against the older baseline.
+
+Then the verdict on repetitions, the benchmark asked for 5 of them:
+
+  - an unchanged but noisy pair passes, though its medians differ by
+    more than the tolerance;
+  - a real 2x slowdown with little noise fails.
 
 Usage: run_bench_check_test.py  (exit 0 on pass)
 """
@@ -25,21 +32,34 @@ RUN_BENCH = os.path.join(os.path.dirname(HERE), "scripts",
                          "run_bench.py")
 
 FAKE_BENCH = """#!{python}
-import json
-print(json.dumps({{
-    "context": {{"cxlsim_build_type": "Release"}},
-    "benchmarks": [{{"name": "BM_Fake", "run_type": "iteration",
-                     "items_per_second": 500.0}}],
-}}))
+import sys
+with open({argv_log!r}, "a") as f:
+    f.write(" ".join(sys.argv[1:]) + "\\n")
+print({doc!r})
 """
 
 
-def baseline(items_per_second):
-    return {
-        "context": {"cxlsim_build_type": "Release"},
-        "benchmarks": [{"name": "BM_Fake", "run_type": "iteration",
-                        "items_per_second": items_per_second}],
-    }
+def baseline(*items_per_second):
+    """A result document with one entry per repetition, plus the
+    aggregate google-benchmark adds (which the verdict ignores)."""
+    reps = [{"name": "BM_Fake", "run_type": "iteration",
+             "items_per_second": ips} for ips in items_per_second]
+    agg = {"name": "BM_Fake_median", "run_type": "aggregate",
+           "items_per_second": 1.0}
+    return {"context": {"cxlsim_build_type": "Release"},
+            "benchmarks": reps + [agg]}
+
+
+def fake_bench(d, *items_per_second):
+    """Write a fake benchmark reporting @p items_per_second into d."""
+    path = os.path.join(d, "fake_bench")
+    with open(path, "w") as f:
+        f.write(FAKE_BENCH.format(
+            python=sys.executable,
+            argv_log=os.path.join(d, "argv.log"),
+            doc=json.dumps(baseline(*items_per_second))))
+    os.chmod(path, 0o755)
+    return path
 
 
 def snapshot(d):
@@ -64,10 +84,7 @@ def main():
             failures.append(what)
 
     with tempfile.TemporaryDirectory() as tmp:
-        bench = os.path.join(tmp, "fake_bench")
-        with open(bench, "w") as f:
-            f.write(FAKE_BENCH.format(python=sys.executable))
-        os.chmod(bench, 0o755)
+        bench = fake_bench(tmp, 500.0)
         base_dir = os.path.join(tmp, "baselines")
         os.mkdir(base_dir)
         today = datetime.date.today().isoformat()
@@ -102,6 +119,34 @@ def main():
             written = json.load(f)
         expect(written["benchmarks"][0]["items_per_second"] == 500.0,
                "recording did not write today's baseline")
+
+    # (baseline repetitions, current repetitions, want exit code)
+    verdicts = {
+        # Medians 1000 -> 800 (0.80x, past the 15% tolerance), but
+        # each run spreads over more than 80% of its median.
+        "noisy-unchanged": ((1000.0, 1400.0, 700.0, 1300.0, 1000.0),
+                            (720.0, 1300.0, 600.0, 800.0, 1000.0),
+                            0),
+        "real-2x-slowdown": ((1000.0, 1050.0, 980.0, 1020.0, 1000.0),
+                             (500.0, 520.0, 490.0, 510.0, 505.0),
+                             1),
+    }
+    for case, (old_reps, new_reps, want) in verdicts.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            bench = fake_bench(tmp, *new_reps)
+            with open(os.path.join(tmp, "BENCH_2000-01-01.json"),
+                      "w") as f:
+                json.dump(baseline(*old_reps), f)
+            check = run(["--check", "--bench", bench,
+                         "--out-dir", tmp])
+            expect(check.returncode == want,
+                   f"{case}: --check exit {check.returncode}, want "
+                   f"{want}\n{check.stdout}{check.stderr}")
+            with open(os.path.join(tmp, "argv.log")) as f:
+                argv = f.read()
+            expect("--benchmark_repetitions=5" in argv,
+                   f"{case}: benchmark ran without repetitions: "
+                   f"{argv}")
 
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)

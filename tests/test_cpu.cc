@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <memory>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cpu/cache.hh"
@@ -93,6 +96,265 @@ TEST(Cache, MarkDirtyAndReinsert)
     EXPECT_FALSE(none.valid);  // refresh, not new insert
     c.invalidate(0);
     EXPECT_FALSE(c.contains(0));
+}
+
+namespace cxlsim::cpu {
+
+/** White-box view of a Cache's raw state (a friend of Cache). */
+struct CacheInspector
+{
+    /**
+     * The first difference between @p a and @p b in tags, metadata
+     * of valid ways (an empty way's is never read), MRU hints or
+     * stamp counter; "" when there is none.
+     */
+    static std::string
+    diff(const Cache &a, const Cache &b)
+    {
+        if (a.sets_ != b.sets_ || a.ways_ != b.ways_)
+            return "geometry";
+        if (a.stamp_ != b.stamp_)
+            return "stamp " + std::to_string(a.stamp_) + " vs " +
+                   std::to_string(b.stamp_);
+        for (std::uint64_t s = 0; s < a.sets_; ++s) {
+            const std::string at = " of set " + std::to_string(s);
+            if (a.mru_[s] != b.mru_[s])
+                return "mru" + at;
+            for (unsigned w = 0; w < a.ways_; ++w) {
+                const std::size_t i = s * a.ways_ + w;
+                const std::string way = at + " way " + std::to_string(w);
+                if (a.tags_[i] != b.tags_[i])
+                    return "tag" + way;
+                if (!a.tags_[i])
+                    continue;
+                const Cache::Meta &x = a.meta_[i];
+                const Cache::Meta &y = b.meta_[i];
+                if (x.readyAt != y.readyAt)
+                    return "readyAt" + way;
+                if (x.lruStamp != y.lruStamp)
+                    return "lruStamp" + way;
+                if (x.home != y.home)
+                    return "home" + way;
+                if (x.dirty != y.dirty)
+                    return "dirty" + way;
+            }
+        }
+        return "";
+    }
+
+    static const void *tags(const Cache &c) { return c.tags_.get(); }
+    static const void *meta(const Cache &c) { return c.meta_.get(); }
+};
+
+}  // namespace cxlsim::cpu
+
+namespace {
+
+/** The oracle for Cache::fill(): one insert per line, in order. */
+void
+insertEach(Cache *c, std::span<const LineRange> ranges, StallTag home)
+{
+    for (const LineRange &r : ranges)
+        for (std::uint64_t i = 0; i < r.lines; ++i)
+            c->insert(r.first + i * kCacheLineBytes, 0, home, false);
+}
+
+/** @p parts joined by '_' as a test-name suffix: a prime becomes
+ *  'p', any other non-alphanumeric '_'. */
+template <typename... Parts>
+std::string
+paramName(const Parts &...parts)
+{
+    std::string out;
+    for (const std::string &p : {std::string(parts)...})
+        out += (out.empty() ? "" : "_") + p;
+    for (char &c : out)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = c == '\'' ? 'p' : '_';
+    return out;
+}
+
+CpuProfile
+cpuNamed(const std::string &name)
+{
+    if (name == "EMR")
+        return emr();
+    if (name == "EMR'")
+        return emrPrime();
+    if (name == "SPR")
+        return spr();
+    return skx();
+}
+
+}  // namespace
+
+/**
+ * fill() leaves exactly the state of per-line inserts, for the LLC
+ * and L2 geometries of every CPU and the core counts figures run:
+ * each core's share of 0.7 of the LLC, so the L3 fills without
+ * evicting while the L2s wrap many times (except SKX's at 32
+ * cores). Ranges start off set boundaries and leave gaps.
+ */
+class CacheFillOracle
+    : public ::testing::TestWithParam<std::tuple<const char *, unsigned>>
+{
+};
+
+TEST_P(CacheFillOracle, MatchesPerLineInserts)
+{
+    const CpuProfile p = cpuNamed(std::get<0>(GetParam()));
+    const unsigned cores = std::get<1>(GetParam());
+    const std::uint64_t share = static_cast<std::uint64_t>(
+        0.7 * static_cast<double>(p.l3.sizeBytes / kCacheLineBytes) /
+        cores);
+    std::vector<LineRange> ranges;
+    for (unsigned c = 0; c < cores; ++c)
+        ranges.push_back(
+            {(c * (share + 37) + 5) * kCacheLineBytes, share});
+
+    for (unsigned c = 0; c < cores; ++c) {
+        Cache fast(p.l2.sizeBytes, p.l2.ways);
+        Cache ref(p.l2.sizeBytes, p.l2.ways);
+        fast.fill({&ranges[c], 1}, StallTag::kL2);
+        insertEach(&ref, {&ranges[c], 1}, StallTag::kL2);
+        ASSERT_EQ(CacheInspector::diff(fast, ref), "") << "L2 " << c;
+    }
+    Cache fast(p.l3.sizeBytes, p.l3.ways);
+    Cache ref(p.l3.sizeBytes, p.l3.ways);
+    fast.fill(ranges, StallTag::kL3);
+    insertEach(&ref, ranges, StallTag::kL3);
+    EXPECT_EQ(CacheInspector::diff(fast, ref), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheFillOracle,
+    ::testing::Combine(::testing::Values("EMR", "EMR'", "SPR", "SKX"),
+                       ::testing::Values(1u, 2u, 8u, 32u)),
+    [](const auto &info) {
+        return paramName(std::get<0>(info.param),
+                         std::to_string(std::get<1>(info.param)));
+    });
+
+TEST(CacheFill, EmptyRangesInsertNothing)
+{
+    const LineRange none{4096, 0};
+    Cache empty(64 * 1024, 8), fresh(64 * 1024, 8);
+    empty.fill({&none, 1}, StallTag::kL2);
+    EXPECT_EQ(CacheInspector::diff(empty, fresh), "");
+
+    // An empty range between two others, which wrap the 128 sets.
+    const std::vector<LineRange> ranges = {
+        {64 * 3, 1000}, {64 * 2000, 0}, {64 * 1003, 300}};
+    Cache fast(64 * 1024, 8), ref(64 * 1024, 8);
+    fast.fill(ranges, StallTag::kL3);
+    insertEach(&ref, ranges, StallTag::kL3);
+    EXPECT_EQ(CacheInspector::diff(fast, ref), "");
+}
+
+TEST(CacheFillDeathTest, RefusesOverlapsAndAWarmCache)
+{
+    const std::vector<LineRange> overlap = {{0, 10}, {64 * 9, 10}};
+    Cache c(64 * 1024, 8);
+    EXPECT_DEATH(c.fill(overlap, StallTag::kL3), "ranges overlap");
+    c.insert(0, 0, StallTag::kL3, false);
+    const LineRange one{64, 1};
+    EXPECT_DEATH(c.fill({&one, 1}, StallTag::kL3), "empty cache");
+}
+
+/**
+ * MemoryHierarchy::warm() over real kernels' preload ranges leaves
+ * every L2 and the LLC as per-line inserts do, core by core, each
+ * line into the core's L2 and then the LLC.
+ * Covers whole partitions (the ubench workloads) and hot regions of
+ * 8- and 10-thread workloads, whose 10 partitions are not
+ * line-aligned.
+ */
+class WarmOracle
+    : public ::testing::TestWithParam<std::tuple<const char *, const char *>>
+{
+};
+
+TEST_P(WarmOracle, MatchesPerLinePreload)
+{
+    const auto w = workloads::byName(std::get<1>(GetParam()));
+    melody::Platform plat(std::get<0>(GetParam()), "Local");
+    const CpuProfile &p = plat.cpu();
+    auto be = plat.makeBackend(1);
+    const auto kernels = workloads::makeKernels(w);
+    const auto n = static_cast<unsigned>(kernels.size());
+    const std::uint64_t budget = static_cast<std::uint64_t>(
+        0.7 * static_cast<double>(p.l3.sizeBytes) / n);
+    std::vector<LineRange> ranges;
+    for (const auto &k : kernels)
+        ranges.push_back(k->preloadRange(budget));
+
+    MemoryHierarchy h(p, n, be.get());
+    h.warm(ranges);
+    Cache l3(p.l3.sizeBytes, p.l3.ways);
+    for (unsigned c = 0; c < n; ++c) {
+        Cache l2(p.l2.sizeBytes, p.l2.ways);
+        for (std::uint64_t i = 0; i < ranges[c].lines; ++i) {
+            const Addr a = ranges[c].first + i * kCacheLineBytes;
+            l2.insert(a, 0, StallTag::kL2, false);
+            l3.insert(a, 0, StallTag::kL3, false);
+        }
+        ASSERT_EQ(CacheInspector::diff(h.l2(c), l2), "") << "L2 " << c;
+    }
+    EXPECT_EQ(CacheInspector::diff(h.l3(), l3), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SuiteWorkloads, WarmOracle,
+    ::testing::Combine(::testing::Values("EMR2S", "EMR2S'", "SPR2S",
+                                         "SKX2S"),
+                       ::testing::Values("ubench-rnd-64m-i1",
+                                         "ubench-chase-64m-i2",
+                                         "bfs-web", "603.bwaves_s")),
+    [](const auto &info) {
+        return paramName(std::get<0>(info.param),
+                         std::get<1>(info.param));
+    });
+
+/**
+ * A destroyed cache leaves its huge-page arrays to the next cache of
+ * its geometry built on the same thread, which must start empty:
+ * it misses on every line the previous owner held.
+ */
+TEST(CacheFill, ReusedArraysMissOnEveryPreviouslyHeldLine)
+{
+    const CacheGeometry g = emr().l3;
+    const LineRange all{0, g.sizeBytes / kCacheLineBytes};
+    const void *tags = nullptr;
+    const void *meta = nullptr;
+    {
+        Cache first(g.sizeBytes, g.ways);
+        first.fill({&all, 1}, StallTag::kL3);
+        first.markDirty(0);
+        ASSERT_TRUE(first.contains(0));
+        tags = CacheInspector::tags(first);
+        meta = CacheInspector::meta(first);
+    }
+    Cache second(g.sizeBytes, g.ways);
+    ASSERT_EQ(CacheInspector::tags(second), tags);
+    ASSERT_EQ(CacheInspector::meta(second), meta);
+    Tick ready;
+    StallTag home;
+    std::uint64_t found = 0;
+    for (std::uint64_t i = 0; i < all.lines; ++i) {
+        const Addr a = i * kCacheLineBytes;
+        found += second.contains(a);
+        found += second.lookup(a, 0, &ready, &home) != LookupResult::kMiss;
+    }
+    EXPECT_EQ(found, 0u);
+    EXPECT_EQ(second.misses(), all.lines);
+
+    // Warmed again, it matches a cache on fresh pages.
+    const LineRange some{64 * 7, all.lines / 3};
+    Cache fresh(g.sizeBytes, g.ways);
+    ASSERT_NE(CacheInspector::tags(fresh), tags);
+    second.fill({&some, 1}, StallTag::kL3);
+    fresh.fill({&some, 1}, StallTag::kL3);
+    EXPECT_EQ(CacheInspector::diff(second, fresh), "");
 }
 
 TEST(StridePrefetcher, TrainsOnConstantStride)
@@ -363,7 +625,8 @@ TEST(Hierarchy, PreloadMakesLinesResident)
     melody::Platform lp("EMR2S", "Local");
     auto be = lp.makeBackend(89);
     MemoryHierarchy h(lp.cpu(), 1, be.get(), false);
-    h.preload(0, 1 << 20);
+    const LineRange line{1 << 20, 1};
+    h.warm({&line, 1});
     const auto out = h.demandLoad(0, 1 << 20, 0, 0);
     EXPECT_FALSE(out.immediate);  // L2 hit, small latency
     EXPECT_EQ(out.tag, StallTag::kL2);
@@ -502,13 +765,14 @@ TEST_P(MultiCoreSchedule, HeapMatchesLinearScan)
     const std::uint64_t preloadBudget = static_cast<std::uint64_t>(
         0.7 * static_cast<double>(plat.cpu().l3.sizeBytes) /
         static_cast<double>(n));
+    std::vector<LineRange> preload;
+    for (const auto &k : kernels)
+        preload.push_back(k->preloadRange(preloadBudget));
+    hier.warm(preload);
     std::vector<std::unique_ptr<Core>> cores;
-    for (unsigned c = 0; c < n; ++c) {
-        kernels[c]->forEachPreloadLine(
-            [&](Addr a) { hier.preload(c, a); }, preloadBudget);
+    for (unsigned c = 0; c < n; ++c)
         cores.push_back(std::make_unique<Core>(
             plat.cpu(), w.exec, &hier, c, kernels[c].get()));
-    }
     std::vector<bool> live(n, true);
     for (;;) {
         int next = -1;

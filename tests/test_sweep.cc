@@ -175,6 +175,38 @@ TEST(Sweep, ExceptionInPointPropagates)
     EXPECT_THROW(s.renderToString(), ConfigError);
 }
 
+TEST(Sweep, PointsBeforeAThrowAreStored)
+{
+    // Serial, so points 1-3 finish before the 4th throws; each is
+    // stored as it finishes, and the rerun takes them from the
+    // cache (a recompute would throw).
+    const std::string dir = freshDir("sweep-throw-resume");
+    const auto build = [](sweep::Sweep &s, bool rerun) {
+        for (int k = 0; k < 4; ++k)
+            s.point("p" + std::to_string(k),
+                    [k, rerun](sweep::Emit &out) {
+                        if ((k == 3) != rerun)
+                            throw ConfigError("point " +
+                                              std::to_string(k));
+                        out.printf("point %d\n", k);
+                    });
+    };
+    sweep::Options o = cacheAt(dir);
+    o.jobs = 1;
+    {
+        sweep::Sweep s("test-throw-resume", o);
+        build(s, false);
+        EXPECT_THROW(s.renderToString(), ConfigError);
+    }
+    sweep::Sweep s("test-throw-resume", o);
+    build(s, true);
+    sweep::Sweep::Report rep;
+    EXPECT_EQ(s.renderToString(&rep),
+              "point 0\npoint 1\npoint 2\npoint 3\n");
+    EXPECT_EQ(rep.cacheHits, 3u);
+    EXPECT_EQ(rep.cacheStores, 1u);
+}
+
 /** Real figures must render identical bytes at any job count —
  *  the property the whole bench migration rests on. Spot-check
  *  the three cheapest figures end to end. */

@@ -4,7 +4,8 @@
  * on real short-lived children — a complete payload beats a later
  * kill, the latest forced cause beats the SIGKILL it caused, then
  * the signal, the exit code and a torn payload — plus deadline
- * disarming, errno-named spawn failures and the child's fd hygiene.
+ * disarming, errno-named spawn failures, the child's fd hygiene
+ * and its SIGINT disposition.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/interrupt.hh"
 #include "sim/io_fault.hh"
 #include "sim/worker.hh"
 
@@ -166,4 +168,60 @@ TEST(ForkWorker, ChildClosesTheListedFds)
     EXPECT_EQ(w.reap().rows, std::vector<std::string>{"closed"});
     ::close(fds[0]);
     ::close(fds[1]);
+}
+
+namespace {
+
+/**
+ * Spawn a child that reports its pid on a side pipe, then works for
+ * 300 ms; SIGINT it directly and reap the outcome.
+ */
+sim::WorkerOutcome
+sigintMidPoint()
+{
+    int side[2];
+    if (::pipe(side) != 0)
+        return {Kind::kProtocolError, "pipe", {}};
+    sim::ForkWorker w;
+    const std::string failed = w.spawn(
+        [&] {
+            const pid_t me = ::getpid();
+            (void)!::write(side[1], &me, sizeof(me));
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+            return std::vector<std::string>{"done"};
+        },
+        {side[0]}, 0);
+    ::close(side[1]);
+    pid_t pid = -1;
+    const bool told = failed.empty() &&
+                      ::read(side[0], &pid, sizeof(pid)) ==
+                          static_cast<ssize_t>(sizeof(pid));
+    ::close(side[0]);
+    if (told)
+        ::kill(pid, SIGINT);
+    if (!pumpToEof(w))
+        return {Kind::kProtocolError, "no eof", {}};
+    return w.reap();
+}
+
+}  // namespace
+
+TEST(ForkWorker, SigintLeavesAPointFinishingUnderAWindingDownParent)
+{
+    // With the interrupt handlers installed, the parent winds down on
+    // a Ctrl-C, so the child must live to deliver its point.
+    sim::installInterruptHandlers();
+    const sim::WorkerOutcome out = sigintMidPoint();
+    sim::resetInterruptHandlers();
+    EXPECT_EQ(out.kind, Kind::kOk) << out.cause;
+    EXPECT_EQ(out.rows, std::vector<std::string>{"done"});
+}
+
+TEST(ForkWorker, SigintKillsTheChildOfAParentThatDies)
+{
+    // Without the handlers the parent dies on SIGINT; so does the
+    // child, rather than run on as an orphan.
+    const sim::WorkerOutcome out = sigintMidPoint();
+    EXPECT_EQ(out.kind, Kind::kSignal);
+    EXPECT_EQ(out.cause, "signal 2");
 }

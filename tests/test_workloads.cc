@@ -208,13 +208,15 @@ TEST(Kernel, PreloadRespectsBudget)
 {
     auto w = byName("ubench-rnd-64m-i1");
     SyntheticKernel k(w, 0);
-    std::uint64_t big = 0, small = 0;
-    k.forEachPreloadLine([&](Addr) { ++big; }, 128ULL << 20);
-    k.forEachPreloadLine([&](Addr) { ++small; }, 4ULL << 20);
+    const LineRange big = k.preloadRange(128ULL << 20);
+    const LineRange small = k.preloadRange(4ULL << 20);
     // Generous budget: whole 64MB partition; tight budget: hot set.
-    EXPECT_EQ(big, (64ULL << 20) / 64);
-    EXPECT_LT(small, (4ULL << 20) / 64);
-    EXPECT_GT(small, 0u);
+    // Both start at the partition base.
+    EXPECT_EQ(big.first, 0u);
+    EXPECT_EQ(big.lines, (64ULL << 20) / 64);
+    EXPECT_EQ(small.first, 0u);
+    EXPECT_LT(small.lines, (4ULL << 20) / 64);
+    EXPECT_GT(small.lines, 0u);
 }
 
 TEST(Kernel, DependentOnlyOnColdLoads)
