@@ -124,10 +124,15 @@ LineRange
 SyntheticKernel::preloadRange(std::uint64_t budget_bytes) const
 {
     // The whole partition is LLC-resident at steady state when it
-    // fits the budget, else the hot region is.
-    if (partBytes_ <= budget_bytes)
-        return {lineAlign(partBase_),
-                (partBytes_ + kCacheLineBytes - 1) / kCacheLineBytes};
+    // fits the budget, else the hot region is. A line that straddles
+    // two partitions goes to the one holding its first byte, so the
+    // cores' ranges stay disjoint when partitions are not aligned.
+    if (partBytes_ <= budget_bytes) {
+        const Addr first = lineAlign(partBase_ + kCacheLineBytes - 1);
+        const Addr end =
+            lineAlign(partBase_ + partBytes_ + kCacheLineBytes - 1);
+        return {first, (end - first) / kCacheLineBytes};
+    }
     return {lineAlign(hotBase_), hotLines_};
 }
 

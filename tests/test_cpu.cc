@@ -261,22 +261,33 @@ TEST(CacheFillDeathTest, RefusesOverlapsAndAWarmCache)
     EXPECT_DEATH(c.fill({&one, 1}, StallTag::kL3), "empty cache");
 }
 
+/** A suite workload, run on @p threads cores when nonzero. */
+struct WarmedWorkload
+{
+    const char *name;
+    unsigned threads;
+};
+
 /**
  * MemoryHierarchy::warm() over real kernels' preload ranges leaves
  * every L2 and the LLC as per-line inserts do, core by core, each
  * line into the core's L2 and then the LLC.
- * Covers whole partitions (the ubench workloads) and hot regions of
+ * Covers whole partitions (the ubench workloads, also split over 3
+ * cores so that partitions are not line-aligned) and hot regions of
  * 8- and 10-thread workloads, whose 10 partitions are not
- * line-aligned.
+ * line-aligned either.
  */
 class WarmOracle
-    : public ::testing::TestWithParam<std::tuple<const char *, const char *>>
+    : public ::testing::TestWithParam<std::tuple<const char *, WarmedWorkload>>
 {
 };
 
 TEST_P(WarmOracle, MatchesPerLinePreload)
 {
-    const auto w = workloads::byName(std::get<1>(GetParam()));
+    const WarmedWorkload ww = std::get<1>(GetParam());
+    auto w = workloads::byName(ww.name);
+    if (ww.threads)
+        w.threads = ww.threads;
     melody::Platform plat(std::get<0>(GetParam()), "Local");
     const CpuProfile &p = plat.cpu();
     auto be = plat.makeBackend(1);
@@ -307,12 +318,18 @@ INSTANTIATE_TEST_SUITE_P(
     SuiteWorkloads, WarmOracle,
     ::testing::Combine(::testing::Values("EMR2S", "EMR2S'", "SPR2S",
                                          "SKX2S"),
-                       ::testing::Values("ubench-rnd-64m-i1",
-                                         "ubench-chase-64m-i2",
-                                         "bfs-web", "603.bwaves_s")),
+                       ::testing::Values(
+                           WarmedWorkload{"ubench-rnd-64m-i1", 0},
+                           WarmedWorkload{"ubench-chase-64m-i2", 0},
+                           WarmedWorkload{"bfs-web", 0},
+                           WarmedWorkload{"603.bwaves_s", 0},
+                           WarmedWorkload{"ubench-rnd-64m-i1", 3})),
     [](const auto &info) {
-        return paramName(std::get<0>(info.param),
-                         std::get<1>(info.param));
+        const WarmedWorkload &ww = std::get<1>(info.param);
+        if (!ww.threads)
+            return paramName(std::get<0>(info.param), ww.name);
+        return paramName(std::get<0>(info.param), ww.name,
+                         std::to_string(ww.threads) + "t");
     });
 
 /**

@@ -219,6 +219,22 @@ TEST(Kernel, PreloadRespectsBudget)
     EXPECT_GT(small.lines, 0u);
 }
 
+TEST(Kernel, WholePartitionRangesTileAnUnalignedWorkingSet)
+{
+    // 64 MiB over 3 threads: every partition but the first starts
+    // inside a line. The ranges still cover each line exactly once.
+    auto w = byName("ubench-rnd-64m-i1");
+    w.threads = 3;
+    Addr next = 0;
+    for (unsigned c = 0; c < w.threads; ++c) {
+        SyntheticKernel k(w, c);
+        const LineRange r = k.preloadRange(w.workingSetBytes);
+        EXPECT_EQ(r.first, next) << "core " << c;
+        next = r.first + r.lines * 64;
+    }
+    EXPECT_EQ(next, w.workingSetBytes);
+}
+
 TEST(Kernel, DependentOnlyOnColdLoads)
 {
     auto w = byName("520.omnetpp_r");
