@@ -23,11 +23,13 @@ Each benchmark runs REPETITIONS times. Throughput is taken from
 ``items_per_second`` when the benchmark reports it (all of ours do),
 else from 1/real_time, and a run's throughput is the median over its
 repetitions. A benchmark regressed when that median fell by more than
-the tolerance plus the run's own noise: the larger relative spread
-(max - min over median) of the two runs' repetitions. So a noisy host
-widens the gate instead of failing it, while a slowdown larger than
-the noise still fails. Improvements are reported but never fail the
-gate. Entries are keyed on their full benchmark name.
+the tolerance plus the runs' noise: the larger relative spread
+(interquartile range over median) of the two runs' repetitions,
+capped at MAX_NOISE. So a noisy host widens the gate instead of
+failing it; one outlying repetition moves neither quartile past its
+neighbour, and no spread widens the gate by more than the cap, so a
+2x slowdown always fails. Improvements are reported but never fail
+the gate. Entries are keyed on their full benchmark name.
 
 Recording refuses binaries built without optimization: the benchmark
 embeds ``cxlsim_build_type`` in its JSON context and anything other
@@ -52,6 +54,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from statistics import median, quantiles
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))
@@ -64,6 +67,9 @@ OPTIMIZED_BUILD_TYPES = ("release", "relwithdebinfo")
 
 #: Runs of each benchmark; the verdict compares their medians.
 REPETITIONS = 5
+
+#: The most the runs' noise may add to the tolerance.
+MAX_NOISE = 0.15
 
 
 def throughput(entry):
@@ -88,16 +94,15 @@ def load_results(path):
     return out
 
 
-def median(xs):
-    xs = sorted(xs)
-    mid = len(xs) // 2
-    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
-
-
 def spread(xs):
-    """(max - min) / median of one run's repetitions."""
+    """Interquartile range / median of one run's repetitions; 0 for
+    a single run. With 5 repetitions the quartiles are the 2nd and
+    4th values, so the extremes never count."""
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = quantiles(xs, n=4, method="inclusive")
     m = median(xs)
-    return (max(xs) - min(xs)) / m if m > 0 else 0.0
+    return (q3 - q1) / m if m > 0 else 0.0
 
 
 def run_bench(bench, min_time, extra_args):
@@ -215,7 +220,7 @@ def compare(old_path, new_path, tolerance):
             continue
         base = median(old[name])
         ratio = median(cur) / base if base > 0 else float("inf")
-        noise = max(spread(old[name]), spread(cur))
+        noise = min(max(spread(old[name]), spread(cur)), MAX_NOISE)
         if ratio < 1.0 - tolerance - noise:
             verdict = "REGRESSED"
             regressions.append(name)

@@ -15,7 +15,11 @@ Then the verdict on repetitions, the benchmark asked for 5 of them:
 
   - an unchanged but noisy pair passes, though its medians differ by
     more than the tolerance;
-  - a real 2x slowdown with little noise fails.
+  - a real 2x slowdown with little noise fails;
+  - so does a 2x slowdown with one outlying repetition, which must
+    not widen the gate;
+  - and one whose runs are both widely spread, since the noise only
+    widens the gate up to a cap.
 
 Usage: run_bench_check_test.py  (exit 0 on pass)
 """
@@ -123,13 +127,23 @@ def main():
     # (baseline repetitions, current repetitions, want exit code)
     verdicts = {
         # Medians 1000 -> 800 (0.80x, past the 15% tolerance), but
-        # each run spreads over more than 80% of its median.
+        # the runs' interquartile ranges are 30% and 35% of their
+        # medians.
         "noisy-unchanged": ((1000.0, 1400.0, 700.0, 1300.0, 1000.0),
                             (720.0, 1300.0, 600.0, 800.0, 1000.0),
                             0),
         "real-2x-slowdown": ((1000.0, 1050.0, 980.0, 1020.0, 1000.0),
                              (500.0, 520.0, 490.0, 510.0, 505.0),
                              1),
+        # One repetition ran at 2.7x the others' speed: (max - min)
+        # over median would be 178%.
+        "outlier-hides-2x": ((1000.0, 1050.0, 980.0, 1020.0, 1000.0),
+                             (500.0, 520.0, 490.0, 510.0, 1400.0),
+                             1),
+        # Both runs spread over 60% of their medians.
+        "noisy-2x-slowdown": ((600.0, 800.0, 1000.0, 1400.0, 1600.0),
+                              (300.0, 400.0, 500.0, 700.0, 800.0),
+                              1),
     }
     for case, (old_reps, new_reps, want) in verdicts.items():
         with tempfile.TemporaryDirectory() as tmp:
