@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -15,11 +16,64 @@ namespace {
 /** Arrays at least one x86-64 huge page long go to mmap. */
 constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
 
+/**
+ * The huge-page arrays this thread freed last, newest at the back:
+ * two, the tags and metadata of one LLC.
+ */
+struct KeptArrays
+{
+    struct Entry
+    {
+        void *p = nullptr;
+        std::size_t bytes = 0;
+    };
+    Entry kept[2];
+
+    /** A kept array of @p bytes; else unmaps them all: nullptr. */
+    void *
+    take(std::size_t bytes)
+    {
+        for (Entry &e : kept)
+            if (e.p && e.bytes == bytes)
+                return std::exchange(e.p, nullptr);
+        clear();
+        return nullptr;
+    }
+
+    /** Keeps @p p, unmapping the oldest kept array. */
+    void
+    keep(void *p, std::size_t bytes)
+    {
+        if (kept[0].p)
+            munmap(kept[0].p, kept[0].bytes);
+        kept[0] = kept[1];
+        kept[1] = {p, bytes};
+    }
+
+    void
+    clear()
+    {
+        for (Entry &e : kept)
+            if (e.p)
+                munmap(std::exchange(e.p, nullptr), e.bytes);
+    }
+
+    ~KeptArrays() { clear(); }
+};
+
+thread_local KeptArrays t_kept;
+
+/** @p bytes of storage; see Cache::allocArray(). */
 void *
-allocZeroed(std::size_t bytes)
+allocate(std::size_t bytes, bool zero)
 {
     if (bytes < kHugePageBytes)
         return std::calloc(bytes, 1);
+    if (void *p = t_kept.take(bytes)) {
+        if (zero)
+            std::memset(p, 0, bytes);
+        return p;
+    }
     // Anonymous pages are zeroed lazily, like calloc's. The advice
     // is a no-op where THP is disabled.
     void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
@@ -30,60 +84,14 @@ allocZeroed(std::size_t bytes)
     return p;
 }
 
-/**
- * The huge-page arrays of the last Cache this thread destroyed, for
- * the next Cache of the same geometry the thread builds. A null
- * slot is an array that was small (calloc'd) or already taken.
- */
-struct KeptArrays
-{
-    std::uint64_t sets = 0;
-    unsigned ways = 0;
-    void *arrays[3] = {};  // tags, meta, mru
-    std::size_t bytes[3] = {};
-
-    /** Move @p a into slot @p i if it is a huge-page array. */
-    template <typename Array>
-    void
-    keep(int i, Array &a)
-    {
-        if (a.get_deleter().bytes < kHugePageBytes)
-            return;
-        bytes[i] = a.get_deleter().bytes;
-        arrays[i] = a.release();
-    }
-
-    void
-    clear()
-    {
-        for (int i = 0; i < 3; ++i) {
-            if (arrays[i])
-                munmap(arrays[i], bytes[i]);
-            arrays[i] = nullptr;
-        }
-        sets = 0;
-        ways = 0;
-    }
-
-    ~KeptArrays() { clear(); }
-};
-
-thread_local KeptArrays t_kept;
-
 }  // namespace
 
 template <typename T>
-Cache::Array<T>
-Cache::allocArray(std::size_t n, void **kept, bool zero)
+std::unique_ptr<T[], Cache::FreeDeleter>
+Cache::allocArray(std::size_t n, bool zero)
 {
     const std::size_t bytes = n * sizeof(T);
-    void *p = *kept;
-    *kept = nullptr;
-    if (!p)
-        p = allocZeroed(bytes);
-    else if (zero)
-        std::memset(p, 0, bytes);
-    return {static_cast<T *>(p), FreeDeleter{bytes}};
+    return {static_cast<T *>(allocate(bytes, zero)), FreeDeleter{bytes}};
 }
 
 void
@@ -92,41 +100,18 @@ Cache::FreeDeleter::operator()(void *p) const
     if (bytes < kHugePageBytes)
         std::free(p);
     else
-        munmap(p, bytes);
+        t_kept.keep(p, bytes);
 }
 
 Cache::Cache(std::uint64_t size_bytes, unsigned ways)
-    : sets_(size_bytes / (kCacheLineBytes * ways)), ways_(ways)
+    : sets_(size_bytes / (kCacheLineBytes * ways)), ways_(ways),
+      tags_(allocArray<Addr>(sets_ * ways_, true)),
+      meta_(allocArray<Meta>(sets_ * ways_, false)),
+      mru_(allocArray<std::uint8_t>(sets_, true))
 {
     SIM_ASSERT(sets_ >= 1, "cache too small");
     SIM_ASSERT(ways_ >= 1 && ways_ <= 255, "ways out of range");
-    KeptArrays &kept = t_kept;
-    void *none[3] = {};
-    void **slots = kept.arrays;
-    if (kept.sets != sets_ || kept.ways != ways_) {
-        slots = none;
-        // Meta is the largest array. A cache that maps huge pages
-        // unmaps kept arrays of another geometry first.
-        if (sets_ * ways_ * sizeof(Meta) >= kHugePageBytes)
-            kept.clear();
-    }
-    tags_ = allocArray<Addr>(sets_ * ways_, &slots[0], true);
-    meta_ = allocArray<Meta>(sets_ * ways_, &slots[1], false);
-    mru_ = allocArray<std::uint8_t>(sets_, &slots[2], true);
     SIM_ASSERT(tags_ && meta_ && mru_, "cache allocation failed");
-}
-
-Cache::~Cache()
-{
-    if (meta_.get_deleter().bytes < kHugePageBytes)
-        return;  // nothing huge to keep
-    KeptArrays &kept = t_kept;
-    kept.clear();
-    kept.sets = sets_;
-    kept.ways = ways_;
-    kept.keep(0, tags_);
-    kept.keep(1, meta_);
-    kept.keep(2, mru_);
 }
 
 int

@@ -22,14 +22,15 @@
  * transparent huge pages, so first touch faults once per 2 MiB
  * instead of once per 4 KiB; smaller ones come from calloc.
  *
- * Construction is not O(1): each thread keeps the huge-page arrays
- * of the last Cache it destroyed, and the next Cache of the same
- * geometry it builds takes them instead of faulting fresh pages.
- * Their tags and MRU hints are re-zeroed (a linear memset); the
- * metadata is not, since it is only read after a tag match. A
- * Cache of another geometry unmaps the kept arrays before mapping
- * its own, so a thread never holds more than its largest live
- * cache did.
+ * Each thread keeps the huge-page arrays it freed last (an LLC's
+ * tags and metadata) for its next allocations of the same sizes, so
+ * a sweep that builds one LLC after another reuses their pages
+ * instead of faulting fresh ones. Reused tags and MRU hints are
+ * re-zeroed (a linear memset); metadata is not, since it is only
+ * read after a tag match. An allocation that finds no kept array of
+ * its size unmaps the kept ones before mapping its own, so kept
+ * pages never add to a thread's peak. Construction on reused
+ * arrays is therefore not O(1).
  *
  * fill() warms an empty cache in one pass: it writes the state that
  * inserting every line of a few disjoint line ranges would leave,
@@ -80,12 +81,6 @@ class Cache
      * @param ways       Associativity.
      */
     Cache(std::uint64_t size_bytes, unsigned ways);
-
-    /** Hands its huge-page arrays to this thread (see above). */
-    ~Cache();
-
-    Cache(const Cache &) = delete;
-    Cache &operator=(const Cache &) = delete;
 
     /**
      * Look up @p line_addr at time @p now. Updates LRU on hit.
@@ -166,30 +161,26 @@ class Cache
     /** Frees allocArray() storage; how depends on its size. */
     struct FreeDeleter
     {
-        // No default member initializer: GCC then rejects the
-        // default unique_ptr in Cache's constructor. unique_ptr
-        // value-initializes its deleter, so this reads 0 there.
-        std::size_t bytes;
+        std::size_t bytes = 0;
         void operator()(void *p) const;
     };
-    template <typename T>
-    using Array = std::unique_ptr<T[], FreeDeleter>;
 
     /**
-     * @p n Ts: this thread's kept array from @p kept when it holds
-     * one (re-zeroed if @p zero), else fresh zeroed pages.
+     * @p n Ts, huge-page backed when large (see above). Zeroed
+     * unless @p zero is false and a kept array is reused.
      */
     template <typename T>
-    static Array<T> allocArray(std::size_t n, void **kept, bool zero);
+    static std::unique_ptr<T[], FreeDeleter> allocArray(std::size_t n,
+                                                        bool zero);
 
     std::uint64_t sets_;
     unsigned ways_;
     /** sets_*ways_ probe words: tagWord(addr) or 0 when invalid. */
-    Array<Addr> tags_;
+    std::unique_ptr<Addr[], FreeDeleter> tags_;
     /** sets_*ways_ cold entries, parallel to tags_. */
-    Array<Meta> meta_;
+    std::unique_ptr<Meta[], FreeDeleter> meta_;
     /** Per-set most-recently-hit way (probe hint only). */
-    Array<std::uint8_t> mru_;
+    std::unique_ptr<std::uint8_t[], FreeDeleter> mru_;
     std::uint64_t stamp_ = 0;
 
     std::uint64_t hits_ = 0;
