@@ -25,10 +25,14 @@ thread_local bool t_inParallel = false;
  * bumps gen_ under mu_, wakes everyone, then participates itself.
  * Workers claim at most `slots_` participation slots per job so a
  * caller-requested thread cap is honored even when the pool has
- * more workers. Chunks are claimed from the atomic cursor; the
- * caller returns only once every chunk has been fully executed, so
- * the std::function reference stays valid for exactly the time any
- * worker can dereference it.
+ * more workers. Chunks are claimed from the atomic cursor, by the
+ * caller or by a worker holding a slot. The caller returns only
+ * once its own chunks are done and no worker holds a slot, and it
+ * closes the slots before it lets go of mu_. So every chunk has
+ * run, and no worker can still be about to claim one: a worker
+ * that took its slot and then stalled would otherwise claim the
+ * next job's chunks with this job's std::function, which by then
+ * dangles.
  */
 class WorkerPool
 {
@@ -51,29 +55,24 @@ class WorkerPool
     {
         std::lock_guard<std::mutex> job(jobMu_);
         ensureWorkers(participants - 1);
-        const std::size_t totalChunks = (n + grain - 1) / grain;
         {
             std::lock_guard<std::mutex> lk(mu_);
             fn_ = &fn;
             n_ = n;
             grain_ = grain;
-            totalChunks_ = totalChunks;
             next_.store(0, std::memory_order_relaxed);
-            doneChunks_.store(0, std::memory_order_relaxed);
             slots_ = static_cast<int>(participants) - 1;
             ++gen_;
         }
         cv_.notify_all();
 
         t_inParallel = true;
-        workOn(fn, n, grain, totalChunks);
+        workOn(fn, n, grain);
         t_inParallel = false;
 
         std::unique_lock<std::mutex> lk(mu_);
-        doneCv_.wait(lk, [&] {
-            return doneChunks_.load(std::memory_order_acquire) ==
-                   totalChunks_;
-        });
+        doneCv_.wait(lk, [&] { return active_ == 0; });
+        slots_ = 0;
         fn_ = nullptr;
     }
 
@@ -101,7 +100,7 @@ class WorkerPool
 
     void
     workOn(const std::function<void(std::size_t)> &fn, std::size_t n,
-           std::size_t grain, std::size_t total_chunks)
+           std::size_t grain)
     {
         for (std::size_t start =
                  next_.fetch_add(grain, std::memory_order_relaxed);
@@ -111,12 +110,6 @@ class WorkerPool
             const std::size_t end = std::min(n, start + grain);
             for (std::size_t i = start; i < end; ++i)
                 fn(i);
-            if (doneChunks_.fetch_add(1, std::memory_order_release) +
-                    1 ==
-                total_chunks) {
-                std::lock_guard<std::mutex> lk(mu_);
-                doneCv_.notify_all();
-            }
         }
     }
 
@@ -127,7 +120,7 @@ class WorkerPool
         std::uint64_t seen = 0;
         for (;;) {
             const std::function<void(std::size_t)> *fn;
-            std::size_t n, grain, totalChunks;
+            std::size_t n, grain;
             {
                 std::unique_lock<std::mutex> lk(mu_);
                 cv_.wait(lk,
@@ -138,13 +131,15 @@ class WorkerPool
                 if (slots_ <= 0)
                     continue;  // job already fully staffed
                 --slots_;
+                ++active_;
                 fn = fn_;
                 n = n_;
                 grain = grain_;
-                totalChunks = totalChunks_;
             }
-            if (fn)
-                workOn(*fn, n, grain, totalChunks);
+            workOn(*fn, n, grain);
+            std::lock_guard<std::mutex> lk(mu_);
+            if (--active_ == 0)
+                doneCv_.notify_all();
         }
     }
 
@@ -162,10 +157,10 @@ class WorkerPool
     const std::function<void(std::size_t)> *fn_ = nullptr;
     std::size_t n_ = 0;
     std::size_t grain_ = 1;
-    std::size_t totalChunks_ = 0;
     int slots_ = 0;
+    /** Workers holding a slot of the current job. */
+    int active_ = 0;
     std::atomic<std::size_t> next_{0};
-    std::atomic<std::size_t> doneChunks_{0};
 };
 
 }  // namespace

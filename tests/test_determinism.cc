@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <future>
@@ -267,6 +269,25 @@ TEST(Determinism, ParallelForCoversEveryIndexOnce)
                     << "index " << i << " @" << threads << "t grain "
                     << grain;
         }
+    }
+}
+
+/**
+ * Many tiny jobs back to back: each index of each job runs exactly
+ * once, through that job's body. A worker that took a job's slot
+ * and stalled must not resume on the next job's cursor with the
+ * first job's (by then dangling) body; under ThreadSanitizer that
+ * shows as a race within a few thousand jobs.
+ */
+TEST(Determinism, BackToBackJobsRunOnlyTheirOwnIndices)
+{
+    constexpr std::size_t kIndices = 8;
+    for (int job = 0; job < 20000; ++job) {
+        std::array<std::atomic<int>, kIndices> runs{};
+        parallelFor(
+            kIndices, [&](std::size_t i) { runs[i].fetch_add(1); }, 8);
+        for (std::size_t i = 0; i < kIndices; ++i)
+            ASSERT_EQ(runs[i].load(), 1) << "job " << job << " index " << i;
     }
 }
 
