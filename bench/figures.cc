@@ -1,13 +1,10 @@
 #include "bench/figures.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
-
-#include "sim/logging.hh"
 
 namespace figs {
 
@@ -129,44 +126,6 @@ find(const std::string &nameOrBinary)
         nameOrBinary == kCrashTest.binary)
         return &kCrashTest;
     return nullptr;
-}
-
-int
-figureMain(const char *binary)
-{
-    using namespace cxlsim;
-    const Figure *fig = find(binary);
-    SIM_ASSERT(fig != nullptr,
-               std::string("unregistered figure binary: ") + binary);
-    try {
-        sweep::Sweep s(fig->binary, sweep::optionsFromEnv());
-        s.scope(fig->binary);
-        fig->build(s);
-        const sweep::Sweep::Report rep = s.run(stdout);
-        // Degraded isolated runs (or invariant violations) exit
-        // nonzero with a stderr summary; surviving output already
-        // streamed above.
-        if (!rep.clean()) {
-            for (const auto &f : rep.failures)
-                std::fprintf(stderr,
-                             "%s: point failed: %s (%s, %u "
-                             "attempt(s))\n",
-                             binary, f.key.c_str(),
-                             f.cause.c_str(), f.attempts);
-            for (const auto &d : rep.invariantDiags)
-                std::fprintf(stderr,
-                             "%s: invariant %s at %s: %s "
-                             "[point %s]\n",
-                             binary, d.invariant.c_str(),
-                             d.where.c_str(), d.values.c_str(),
-                             d.pointKey.c_str());
-            return 1;
-        }
-    } catch (const ConfigError &e) {
-        std::fprintf(stderr, "%s: %s\n", binary, e.what());
-        return 2;
-    }
-    return 0;
 }
 
 }  // namespace figs

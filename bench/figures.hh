@@ -2,9 +2,9 @@
  * @file
  * Registry of all figure/table benches, each expressed as a build
  * function that declares its output onto a sweep::Sweep. The same
- * build functions back the standalone bench binaries (via
- * figureMain + bench/fig_main.cc) and the `melody sweep` suite
- * runner, so both share cache entries and emit identical bytes.
+ * build functions back the `melody sweep` suite runner and the
+ * `melody serve` runner, so both share cache entries and emit
+ * identical bytes.
  */
 
 #ifndef MELODY_BENCH_FIGURES_HH
@@ -23,7 +23,8 @@ struct Figure
 {
     /** Short CLI alias (e.g. "fig03"). */
     const char *name;
-    /** Standalone binary name (e.g. "fig03_loaded_latency"). */
+    /** Long name (e.g. "fig03_loaded_latency"): the figure's
+     *  run-cache scope, also accepted by find(). */
     const char *binary;
     /** One-line description for `melody sweep --list`. */
     const char *title;
@@ -36,13 +37,6 @@ const std::vector<Figure> &all();
 
 /** Find by alias or binary name; nullptr if unknown. */
 const Figure *find(const std::string &nameOrBinary);
-
-/**
- * main() body of a standalone figure binary: builds the figure's
- * sweep with environment options (MELODY_SWEEP_JOBS etc.), scoped
- * to @p binary, and streams it to stdout.
- */
-int figureMain(const char *binary);
 
 // Build functions, defined in the per-figure bench sources.
 void buildFig01(cxlsim::sweep::Sweep &);

@@ -2,9 +2,9 @@
  * @file
  * The real-figure Runner behind `melody serve`: executes one
  * registered figure per request through the sweep engine, scoped
- * exactly like `melody sweep <figure>` and the standalone bench
- * binaries — so serve responses are byte-identical to offline runs
- * and all three share one content-addressed run cache.
+ * exactly like `melody sweep <figure>` — so serve responses are
+ * byte-identical to offline runs and both share one
+ * content-addressed run cache.
  *
  * This lives in bench/ (not src/serve/) on purpose: the serve
  * daemon core stays independent of the figure registry, and tests

@@ -22,6 +22,7 @@ echo "== ctest =="
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
 echo "== melody-lint =="
+# One pass over every file; the JSON report is the only file written.
 "${BUILD_DIR}/tools/lint/melody_lint" \
     --json "${BUILD_DIR}/lint-report.json" \
     src tools examples tests

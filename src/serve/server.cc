@@ -15,6 +15,7 @@
 #include <cstring>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/session.hh"
@@ -69,6 +70,17 @@ struct Worker
     /** Fork time, for the per-cause worker-time accounting. */
     Clock::time_point spawned;
 };
+
+/** @p s as a quoted JSON string: outside text (a client's figure,
+ *  a failure cause) can neither break its journal line nor forge
+ *  another record. */
+std::string
+quoted(std::string_view s)
+{
+    std::string out;
+    appendJsonString(&out, s);
+    return out;
+}
 
 /**
  * Append-only JSONL lifecycle journal (one flushed write per
@@ -310,8 +322,8 @@ ServerImpl::failRequest(int clientFd, std::uint64_t id,
     ++stats_.failuresByCause[cause];
     journal_.line("{\"event\":\"done\",\"id\":" +
                   std::to_string(id) +
-                  ",\"status\":\"error\",\"cause\":\"" + cause +
-                  "\"}");
+                  ",\"status\":\"error\",\"cause\":" +
+                  quoted(cause) + "}");
     respond(clientFd, errorResponse(id, cause, message));
 }
 
@@ -425,8 +437,8 @@ ServerImpl::handleRequest(Session *s, const std::string &payload)
         ++stats_.admitted;
         ++stats_.coalescedHits;
         journal_.line("{\"event\":\"request\",\"id\":" +
-                      std::to_string(id) + ",\"figure\":\"" +
-                      req.figure + "\"}");
+                      std::to_string(id) + ",\"figure\":" +
+                      quoted(req.figure) + "}");
         journal_.line("{\"event\":\"coalesced\",\"id\":" +
                       std::to_string(id) + ",\"into\":" +
                       std::to_string(intoId) + "}");
@@ -456,8 +468,8 @@ ServerImpl::handleRequest(Session *s, const std::string &payload)
     }
     ++stats_.admitted;
     journal_.line("{\"event\":\"request\",\"id\":" +
-                  std::to_string(id) + ",\"figure\":\"" +
-                  req.figure + "\"}");
+                  std::to_string(id) + ",\"figure\":" +
+                  quoted(req.figure) + "}");
     PendingReq p;
     p.id = id;
     p.clientFd = s->fd;
@@ -682,8 +694,8 @@ ServerImpl::startDrain(const std::string &reason)
     log("draining (" + reason + "): " +
         std::to_string(workers_.size()) + " in flight, " +
         std::to_string(queue_.size()) + " queued");
-    journal_.line("{\"event\":\"drain\",\"reason\":\"" + reason +
-                  "\"}");
+    journal_.line("{\"event\":\"drain\",\"reason\":" +
+                  quoted(reason) + "}");
     // Queued-but-unstarted work is failed *explicitly*: every
     // admitted request gets exactly one reply, drain included.
     std::deque<PendingReq> cut;
@@ -853,8 +865,8 @@ ServerImpl::run()
     if (cfg_.tcpPort >= 0)
         listeners_.push_back(listenTcp());
     journal_.open(cfg_.journalPath);
-    journal_.line("{\"event\":\"serve\",\"socket\":\"" +
-                  cfg_.socketPath + "\",\"workers\":" +
+    journal_.line("{\"event\":\"serve\",\"socket\":" +
+                  quoted(cfg_.socketPath) + ",\"workers\":" +
                   std::to_string(cfg_.workers) +
                   ",\"queue_depth\":" +
                   std::to_string(cfg_.queueDepth) + "}");

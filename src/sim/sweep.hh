@@ -146,8 +146,7 @@ struct Options
  * Options with MELODY_SWEEP_JOBS / MELODY_SWEEP_CACHE (0|1) /
  * MELODY_SWEEP_CACHE_DIR / MELODY_SWEEP_ISOLATE (0|1) /
  * MELODY_SWEEP_CHECK_INVARIANTS (0|1) applied over the defaults —
- * how the standalone bench binaries pick up configuration without
- * flags.
+ * the base that `melody sweep` flags and the serve runner override.
  */
 Options optionsFromEnv();
 
@@ -227,10 +226,9 @@ class Sweep
 
     /**
      * Set the cache-key scope for subsequently declared points.
-     * The suite runner sets this to each figure's binary name so
-     * CLI and standalone runs share cache entries; standalone
-     * figure mains get it from figureMain(). Defaults to the
-     * sweep name.
+     * The suite runner and the serve runner set this to each
+     * figure's long (binary) name, so CLI and serve runs share
+     * cache entries. Defaults to the sweep name.
      */
     void scope(std::string scope);
 

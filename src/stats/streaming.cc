@@ -58,15 +58,4 @@ StreamingStats::stddev() const
     return std::sqrt(variance());
 }
 
-double
-BandwidthMeter::gbps() const
-{
-    if (stop_ <= start_)
-        return 0.0;
-    const double secs =
-        static_cast<double>(stop_ - start_) /
-        static_cast<double>(kTicksPerSec);
-    return static_cast<double>(bytes_) / 1e9 / secs;
-}
-
 }  // namespace cxlsim::stats

@@ -1,14 +1,12 @@
 /**
  * @file
- * Streaming scalar statistics (Welford) and bandwidth meters.
+ * Streaming scalar statistics (Welford).
  */
 
 #ifndef CXLSIM_STATS_STREAMING_HH
 #define CXLSIM_STATS_STREAMING_HH
 
 #include <cstdint>
-
-#include "sim/types.hh"
 
 namespace cxlsim::stats {
 
@@ -34,36 +32,6 @@ class StreamingStats
     double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Byte-throughput meter: bytes observed over a tick interval,
- * reported in GB/s. Used to measure achieved bandwidth for the
- * latency-bandwidth curves.
- */
-class BandwidthMeter
-{
-  public:
-    void addBytes(std::uint64_t bytes) { bytes_ += bytes; }
-    void start(Tick t) { start_ = t; }
-    void stop(Tick t) { stop_ = t; }
-
-    std::uint64_t bytes() const { return bytes_; }
-
-    /** Achieved throughput in GB/s over [start, stop]. */
-    double gbps() const;
-
-    void
-    reset()
-    {
-        bytes_ = 0;
-        start_ = stop_ = 0;
-    }
-
-  private:
-    std::uint64_t bytes_ = 0;
-    Tick start_ = 0;
-    Tick stop_ = 0;
 };
 
 }  // namespace cxlsim::stats

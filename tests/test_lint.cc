@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,11 +20,11 @@
 
 namespace {
 
+namespace fs = std::filesystem;
 using melodylint::Diagnostic;
 using melodylint::lintSource;
 using melodylint::lintTree;
 using melodylint::SuppressionNote;
-using melodylint::TreeOptions;
 
 std::string
 fixture(const std::string &name)
@@ -389,38 +389,33 @@ TEST(LintArch, IncludeCycleDetectedOnceInFixtureTree)
 }
 
 // ---------------------------------------------------------------
-// Driver: content-hash cache.
+// Driver: one serial pass over the tree.
 // ---------------------------------------------------------------
 
-TEST(LintCache, WarmRunIsIdenticalAndFullyCached)
+TEST(LintTree, SuppressionsAggregateInPathOrder)
 {
-    const std::string cachePath =
-        ::testing::TempDir() + "melody-lint-test-cache";
-    std::remove(cachePath.c_str());
+    // lintSource sorts a file's notes by line, so notes of a later
+    // path with an earlier line must still follow the earlier path.
+    const fs::path root =
+        fs::path(::testing::TempDir()) / "melody-lint-order";
+    fs::remove_all(root);
+    fs::create_directories(root);
+    const std::string allow =
+        "#pragma once  // lint:allow(hdr-pragma-once: fixture)\n";
+    std::ofstream(root / "a.hh") << "// a\n// a\n" << allow;
+    std::ofstream(root / "b.hh") << allow;
 
-    TreeOptions options;
-    options.useCache = true;
-    options.cachePath = cachePath;
-    options.jobs = 2;
-    const std::vector<std::string> roots = {
-        std::string(LINT_FIXTURE_DIR) + "/cycle_tree"};
-
-    const auto cold = lintTree(roots, options);
-    EXPECT_EQ(cold.cacheHits, 0);
-    const auto warm = lintTree(roots, options);
-    EXPECT_EQ(warm.cacheHits, warm.filesScanned);
-
-    // Byte-identical results: same diags (project phase included),
-    // same counts.
-    ASSERT_EQ(warm.diags.size(), cold.diags.size());
-    for (std::size_t i = 0; i < warm.diags.size(); ++i) {
-        EXPECT_EQ(warm.diags[i].path, cold.diags[i].path);
-        EXPECT_EQ(warm.diags[i].line, cold.diags[i].line);
-        EXPECT_EQ(warm.diags[i].rule, cold.diags[i].rule);
-        EXPECT_EQ(warm.diags[i].message, cold.diags[i].message);
-    }
-    EXPECT_EQ(warm.suppressed, cold.suppressed);
-    std::remove(cachePath.c_str());
+    const auto report = lintTree({root.string()});
+    EXPECT_TRUE(report.diags.empty());
+    EXPECT_EQ(report.suppressed, 2);
+    ASSERT_EQ(report.suppressions.size(), 2u);
+    EXPECT_EQ(fs::path(report.suppressions[0].path).filename(),
+              "a.hh");
+    EXPECT_EQ(report.suppressions[0].line, 3);
+    EXPECT_EQ(fs::path(report.suppressions[1].path).filename(),
+              "b.hh");
+    EXPECT_EQ(report.suppressions[1].line, 1);
+    fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------
@@ -602,7 +597,6 @@ TEST(LintReport, JsonHasStableKeysAndCounts)
     melodylint::Report report;
     report.filesScanned = 2;
     report.suppressed = 1;
-    report.cacheHits = 1;
     report.elapsedMs = 12.5;
     report.diags.push_back({"src/a.cc", 7, "det-banned-call",
                             melodylint::Severity::kError,
@@ -616,7 +610,6 @@ TEST(LintReport, JsonHasStableKeysAndCounts)
     EXPECT_NE(j.find("\"errors\": 1"), std::string::npos);
     EXPECT_NE(j.find("\"warnings\": 0"), std::string::npos);
     EXPECT_NE(j.find("\"suppressed\": 1"), std::string::npos);
-    EXPECT_NE(j.find("\"cacheHits\": 1"), std::string::npos);
     EXPECT_NE(j.find("\"elapsedMs\": 12.5"), std::string::npos);
     EXPECT_NE(j.find("\"rule\": \"det-banned-call\""),
               std::string::npos);

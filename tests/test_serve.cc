@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -532,6 +533,50 @@ TEST(ServeDaemon, RoundTripsAndDrainsOnShutdownRequest)
               std::string::npos);
     EXPECT_NE(lastLine(cfg.journalPath).find("\"event\":\"drained\""),
               std::string::npos);
+}
+
+TEST(ServeDaemon, JournalEscapesClientStrings)
+{
+    const serve::ServerConfig cfg = baseConfig("serve-forge");
+    const pid_t pid = spawnServer(cfg);
+    ASSERT_GT(pid, 0);
+    DaemonGuard guard{pid};
+
+    // Figures that, copied raw into a JSONL line, would break it or
+    // add a parseable terminal record of their own.
+    for (const std::string figure :
+         {"x\"\n{\"event\":\"drained\",\"ok\":true}",
+          "x\"}\n{\"event\":\"drained\",\"ok\":true,\"y\":\""}) {
+        const serve::JsonValue v =
+            ask(cfg.socketPath, sweepPayload(figure));
+        EXPECT_EQ(v.getString("status"), "error");
+    }
+    ask(cfg.socketPath, "{\"op\":\"shutdown\"}");
+    const int status = stopServer(pid, 0);
+    guard.pid = -1;
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+
+    std::istringstream journal(slurp(cfg.journalPath));
+    std::string line, last;
+    int lines = 0, drained = 0;
+    while (std::getline(journal, line)) {
+        ++lines;
+        serve::JsonValue v;
+        std::string err;
+        if (!serve::parseJson(line, &v, &err)) {
+            ADD_FAILURE() << line << ": " << err;
+            continue;
+        }
+        EXPECT_EQ(v.kind, serve::JsonValue::Kind::kObject) << line;
+        if (v.getString("event") == "drained")
+            ++drained;
+        last = v.getString("event");
+    }
+    // serve, 2 x (request, done), drain, drained.
+    EXPECT_EQ(lines, 7);
+    EXPECT_EQ(drained, 1);
+    EXPECT_EQ(last, "drained");
 }
 
 TEST(ServeDaemon, ContainsWorkerCrashesAndKeepsServing)

@@ -202,17 +202,6 @@ TEST(Streaming, MergeEqualsCombined)
     EXPECT_EQ(a.max(), both.max());
 }
 
-TEST(Streaming, BandwidthMeter)
-{
-    BandwidthMeter m;
-    m.start(0);
-    m.addBytes(64ULL * 1000 * 1000);  // 64 MB
-    m.stop(kTicksPerMs);              // over 1 ms
-    EXPECT_NEAR(m.gbps(), 64.0, 0.01);
-    m.reset();
-    EXPECT_EQ(m.gbps(), 0.0);
-}
-
 TEST(Summary, QuantileExact)
 {
     std::vector<double> v{5, 1, 3, 2, 4};

@@ -967,7 +967,7 @@ TEST(RunCache, EntryWrittenForAnotherKeyOrSaltIsRejected)
 }
 
 // ---------------------------------------------------------------
-// Environment plumbing for the standalone figure binaries.
+// Environment plumbing (MELODY_SWEEP_* variables).
 // ---------------------------------------------------------------
 
 TEST(SweepEnv, IsolateAndInvariantSwitchesParse)

@@ -1,27 +1,24 @@
 /**
  * @file
- * melody-lint tree driver: parallel per-file linting over a
- * content-hash cache, followed by the project phase (include-cycle
- * detection over the repo-wide graph), plus the JSON report writer.
- * In the core library (not main.cc) so tests can exercise it.
+ * melody-lint tree driver: one serial pass that reads and lints
+ * every file in sorted path order, then the project phase
+ * (include-cycle detection over the repo-wide graph), plus the
+ * JSON report writer. In the core library (not main.cc) so tests
+ * can exercise it.
  *
- * Determinism: files are collected, sorted by path, linted by a
- * worker pool, and aggregated in sorted order — output is
- * byte-identical for any --jobs value and for cold vs. warm cache.
+ * Nothing persists between runs: every scan lints every file with
+ * the rules as built, so a rule change shows on the next run.
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "cache.hh"
 #include "lint.hh"
 #include "project.hh"
 
@@ -110,120 +107,46 @@ collectFiles(const std::vector<std::string> &roots)
 }  // namespace
 
 Report
-lintTree(const std::vector<std::string> &roots,
-         const TreeOptions &options)
+lintTree(const std::vector<std::string> &roots)
 {
     const auto t0 = std::chrono::steady_clock::now();
     Report report;
 
-    LintCache cache(options.cachePath.empty() ? ".melody-lint-cache"
-                                              : options.cachePath);
-    if (options.useCache)
-        cache.load();
-
-    const std::vector<fs::path> files = collectFiles(roots);
-
-    struct Slot
-    {
-        bool ok = false;
-        bool fromCache = false;
-        FileResult result;
-    };
-    std::vector<Slot> slots(files.size());
-
-    auto lintAt = [&](std::size_t idx) {
-        Slot &slot = slots[idx];
-        bool ok = false;
-        const std::string content = readFile(files[idx], &ok);
-        if (!ok)
-            return;  // reported after the join, in order
-        slot.ok = true;
-        const std::string path = displayPath(files[idx]);
-        const std::uint64_t hash = fnv1a64(content);
-        if (options.useCache &&
-            cache.lookup(path, hash, &slot.result)) {
-            slot.fromCache = true;
-            return;
-        }
-        int suppressed = 0;
-        slot.result.diags =
-            lintSource(path, content, &suppressed,
-                       &slot.result.notes, &slot.result.includes);
-        if (options.useCache)
-            cache.store(path, hash, slot.result);
-    };
-
-    unsigned jobs = options.jobs
-                        ? options.jobs
-                        : std::thread::hardware_concurrency();
-    if (jobs == 0)
-        jobs = 1;
-    jobs = std::min<std::size_t>(jobs, files.size() ? files.size()
-                                                    : 1);
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < files.size(); ++i)
-            lintAt(i);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned w = 0; w < jobs; ++w)
-            pool.emplace_back([&] {
-                for (std::size_t i = next.fetch_add(1);
-                     i < files.size(); i = next.fetch_add(1))
-                    lintAt(i);
-            });
-        for (std::thread &th : pool)
-            th.join();
-    }
-
-    // Aggregate in sorted file order; per-file diags are already
-    // (line, rule)-sorted by lintSource.
+    // Files come sorted by path, so diagnostics aggregate in path
+    // order; per-file diags are already (line, rule)-sorted by
+    // lintSource.
     std::vector<ScannedFile> scanned;
-    scanned.reserve(files.size());
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        const Slot &slot = slots[i];
-        if (!slot.ok) {
-            std::cerr << "melody-lint: cannot read " << files[i]
-                      << "\n";
+    for (const fs::path &file : collectFiles(roots)) {
+        bool ok = false;
+        const std::string content = readFile(file, &ok);
+        if (!ok) {
+            std::cerr << "melody-lint: cannot read " << file << "\n";
             continue;
         }
-        ++report.filesScanned;
-        if (slot.fromCache)
-            ++report.cacheHits;
-        report.diags.insert(report.diags.end(),
-                            slot.result.diags.begin(),
-                            slot.result.diags.end());
+        ScannedFile &sf = scanned.emplace_back();
+        sf.path = displayPath(file);
+        std::vector<SuppressionNote> notes;
+        const std::vector<Diagnostic> diags =
+            lintSource(sf.path, content, &report.suppressed, &notes,
+                       &sf.includes);
+        report.diags.insert(report.diags.end(), diags.begin(),
+                            diags.end());
         report.suppressions.insert(report.suppressions.end(),
-                                   slot.result.notes.begin(),
-                                   slot.result.notes.end());
-        report.suppressed +=
-            static_cast<int>(slot.result.notes.size());
-        scanned.push_back({displayPath(files[i]),
-                           slot.result.includes});
+                                   notes.begin(), notes.end());
+        ++report.filesScanned;
     }
 
-    // Project phase: include cycles over the whole scanned set
-    // (cache hits contribute their stored include lists).
+    // Project phase: include cycles over the whole scanned set.
     const std::vector<Diagnostic> cycles =
         projectIncludeCycles(scanned);
     report.diags.insert(report.diags.end(), cycles.begin(),
                         cycles.end());
-
-    if (options.useCache && !cache.save())
-        std::cerr << "melody-lint: warning: cannot write cache\n";
 
     report.elapsedMs =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
     return report;
-}
-
-Report
-lintTree(const std::vector<std::string> &roots)
-{
-    return lintTree(roots, TreeOptions{});
 }
 
 void
@@ -242,7 +165,6 @@ writeJsonReport(const Report &report, std::ostream &os)
        << ",\n  \"errors\": " << report.errorCount()
        << ",\n  \"warnings\": " << report.warningCount()
        << ",\n  \"suppressed\": " << report.suppressed
-       << ",\n  \"cacheHits\": " << report.cacheHits
        << ",\n  \"elapsedMs\": " << report.elapsedMs
        << ",\n  \"diagnostics\": [";
     for (std::size_t i = 0; i < report.diags.size(); ++i) {

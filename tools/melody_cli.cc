@@ -281,8 +281,7 @@ cmdSweepFigures(const std::vector<std::string> &args)
         sim::installInterruptHandlers();
 
     // One engine run for the whole selection; each figure keeps its
-    // own cache scope so entries are shared with the standalone
-    // bench binaries.
+    // own cache scope so entries are shared with `melody serve`.
     sweep::Sweep s("melody-sweep", opts);
     for (const auto *f : picked) {
         s.scope(f->binary);
